@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from .apg import (
     Apg,
@@ -56,28 +56,89 @@ def _mode_partition(g: Apg, s: Semantics, cap: int) -> Partition:
     return finsler_partition(g, cap=cap)
 
 
+def _settle(g: Apg, s: Semantics, cap: int) -> tuple[Apg, list[int], Partition]:
+    """Quotient g by its mode's partition until that partition is discrete
+    (AFA stops after the first partition: one bisimulation quotient leaves
+    nothing to merge).  Returns the last graph, the decoration of g's nodes
+    onto it, and its partition, whose classes are the sets pictured."""
+    decoration = list(range(g.node_count))
+    while True:
+        p = _mode_partition(g, s, cap)
+        if s is Semantics.AFA or p.is_discrete:
+            return g, decoration, p
+        g, proj = quotient(g, p)
+        decoration = [proj[c] for c in decoration]
+
+
 def canonicalize(g: Apg, s: Semantics, cap: int = DEFAULT_ISO_CAP) -> CanonResult:
     """Quotient g by its mode's partition until no merging remains.
 
     The final quotient by a discrete partition only re-indexes the graph
     into its deterministic breadth-first form.
     """
-    decoration = list(range(g.node_count))
-    cur = g
-    while True:
-        p = _mode_partition(cur, s, cap)
-        cur, proj = quotient(cur, p)
-        decoration = [proj[c] for c in decoration]
-        if s is Semantics.AFA or p.is_discrete:
-            break
-    return CanonResult(cur, tuple(decoration))
+    cur, decoration, p = _settle(g, s, cap)
+    cur, proj = quotient(cur, p)
+    return CanonResult(cur, tuple(proj[c] for c in decoration))
+
+
+def equality_classes(
+    graphs: Sequence[Apg], s: Semantics, cap: int = DEFAULT_ISO_CAP
+) -> list[int]:
+    """One class id per graph: equal ids iff the graphs picture the same set.
+
+    AFA and SAFA settle the graphs' disjoint union under a fresh root once,
+    as ``canonicalize`` does, and read off the classes of their roots; no
+    isomorphism search runs, so no cap applies.  FAFA groups the graphs'
+    canonical forms by pointed isomorphism, so the cap bounds each graph,
+    not their union.  Ids count from 0 in order of first appearance.
+    """
+    if s is Semantics.FAFA:
+        return picture_classes([canonicalize(g, s, cap=cap).canonical for g in graphs], s, cap)
+    union, roots = _union_under_fresh_root(graphs)
+    _, decoration, p = _settle(union, s, cap)
+    return list(Partition.from_class_of(p.class_of[decoration[r]] for r in roots).class_of)
+
+
+def picture_classes(
+    pictures: Sequence[Apg], s: Semantics, cap: int = DEFAULT_ISO_CAP
+) -> list[int]:
+    """``equality_classes`` of graphs that are already canonical under s.
+
+    FAFA then tests each picture against one representative per class,
+    without canonicalizing it again; AFA and SAFA take the joint pass.
+    """
+    if s is not Semantics.FAFA:
+        return equality_classes(pictures, s, cap=cap)
+    reps: list[Apg] = []
+    out = []
+    for pic in pictures:
+        for i, rep in enumerate(reps):
+            if pointed_isomorphic(pic, rep, cap=cap) is not None:
+                out.append(i)
+                break
+        else:
+            out.append(len(reps))
+            reps.append(pic)
+    return out
+
+
+def _union_under_fresh_root(graphs: Sequence[Apg]) -> tuple[Apg, list[int]]:
+    """The disjoint union of the graphs below a new root 0, and the node
+    ids of their roots in it."""
+    children: list[frozenset[int]] = [frozenset()]
+    roots = []
+    for g in graphs:
+        offset = len(children)
+        roots.append(g.root + offset)
+        children.extend(frozenset(v + offset for v in kids) for kids in g.children)
+    children[0] = frozenset(roots)
+    return Apg(tuple(children), 0), roots
 
 
 def equal(g1: Apg, g2: Apg, s: Semantics, cap: int = DEFAULT_ISO_CAP) -> bool:
     """Do the two graphs picture the same set under the given semantics?"""
-    c1 = canonicalize(g1, s, cap=cap).canonical
-    c2 = canonicalize(g2, s, cap=cap).canonical
-    return pointed_isomorphic(c1, c2, cap=cap) is not None
+    a, b = equality_classes((g1, g2), s, cap=cap)
+    return a == b
 
 
 def is_canonical_picture(

@@ -16,7 +16,16 @@ from dataclasses import dataclass
 
 from .apg import DEFAULT_ISO_CAP
 from .boffa import Universe
-from .canon import Semantics, automorphisms, canonicalize, equal, is_rigid, to_dot
+from .canon import (
+    Semantics,
+    automorphisms,
+    canonicalize,
+    equal,
+    equality_classes,
+    is_rigid,
+    picture_classes,
+    to_dot,
+)
 from .errors import (
     AtomOutsideBoffa,
     DuplicateDefinition,
@@ -73,9 +82,19 @@ class Config:
         return Semantics(self.mode)
 
 
-def _default_cap() -> int:
-    env = os.environ.get("HS_CAP")
-    return int(env) if env else DEFAULT_ISO_CAP
+def _int_at_least(low: int):
+    """An argparse type for integers >= low; a bad value exits 2."""
+
+    def parse_int(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse_int
 
 
 def _read_program(path: str) -> HslProgram:
@@ -83,38 +102,43 @@ def _read_program(path: str) -> HslProgram:
     return parse(text)
 
 
-def _solve_names(program: HslProgram, cfg: Config):
-    """Per-name canonical pictures plus an equality relation on names.
+def _solve_names(program: HslProgram, cfg: Config, names=None, pictures=True):
+    """Canonical picture and equality class id of each name in ``names``
+    (every name of the program by default), as two dicts in name order;
+    without ``pictures`` the first dict is empty.
 
-    Pure modes canonicalize each flattened graph; Boffa mode inserts into a
-    fresh universe, where equality is id equality.
+    Pure modes canonicalize each name's graph once and read the classes off
+    the pictures, or, without pictures, canonicalize the graphs jointly;
+    Boffa mode inserts into a fresh universe, whose set ids are the classes.
     """
     if cfg.mode == "boffa":
         u = Universe()
         ids = flatten_into(program, u)
-        names = list(ids)
-        pics = {name: u.picture_of(ids[name]) for name in names}
-        same = lambda a, b: ids[a] == ids[b]  # noqa: E731
-        return names, pics, same
-    graphs = flatten(program)
-    names = list(graphs)
-    pics = {
-        name: canonicalize(graphs[name], cfg.semantics, cap=cfg.iso_cap).canonical
-        for name in names
-    }
-    same = lambda a, b: equal(graphs[a], graphs[b], cfg.semantics, cap=cfg.iso_cap)  # noqa: E731
-    return names, pics, same
+        if names is None:
+            names = list(ids)
+        for name in names:
+            if name not in ids:
+                raise UndefinedName(f"name {name!r} is not defined")
+        pics = {name: u.picture_of(ids[name]) for name in names} if pictures else {}
+        return pics, {name: ids[name] for name in names}
+    graphs = flatten(program, names)
+    s, cap = cfg.semantics, cfg.iso_cap
+    if not pictures:
+        return {}, dict(zip(graphs, equality_classes(list(graphs.values()), s, cap=cap)))
+    pics = {name: canonicalize(g, s, cap=cap).canonical for name, g in graphs.items()}
+    return pics, dict(zip(pics, picture_classes(list(pics.values()), s, cap=cap)))
 
 
 def cmd_solve(args) -> int:
     cfg = Config(mode=args.mode, iso_cap=args.cap, output="json" if args.json else "text")
     program = _read_program(args.file)
-    names, pics, same = _solve_names(program, cfg)
+    pics, classes = _solve_names(program, cfg)
+    names = list(pics)
 
     pairs = []
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            pairs.append((a, b, same(a, b)))
+            pairs.append((a, b, classes[a] == classes[b]))
 
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -143,39 +167,17 @@ def cmd_solve(args) -> int:
 
 def cmd_eq(args) -> int:
     cfg = Config(mode=args.mode, iso_cap=args.cap)
-    program = _read_program(args.file)
-    if cfg.mode == "boffa":
-        u = Universe()
-        ids = flatten_into(program, u)
-        for name in (args.name1, args.name2):
-            if name not in ids:
-                raise UndefinedName(f"name {name!r} is not defined")
-        verdict = ids[args.name1] == ids[args.name2]
-    else:
-        graphs = flatten(program)
-        for name in (args.name1, args.name2):
-            if name not in graphs:
-                raise UndefinedName(f"name {name!r} is not defined")
-        verdict = equal(graphs[args.name1], graphs[args.name2], cfg.semantics, cap=cfg.iso_cap)
+    names = (args.name1, args.name2)
+    _, classes = _solve_names(_read_program(args.file), cfg, names, pictures=False)
+    verdict = classes[args.name1] == classes[args.name2]
     print("equal" if verdict else "unequal")
     return EXIT_OK if verdict else EXIT_UNEQUAL
 
 
 def cmd_aut(args) -> int:
     cfg = Config(mode=args.mode, iso_cap=args.cap)
-    program = _read_program(args.file)
-    if cfg.mode == "boffa":
-        u = Universe()
-        ids = flatten_into(program, u)
-        if args.name not in ids:
-            raise UndefinedName(f"name {args.name!r} is not defined")
-        pic = u.picture_of(ids[args.name])
-    else:
-        graphs = flatten(program)
-        if args.name not in graphs:
-            raise UndefinedName(f"name {args.name!r} is not defined")
-        pic = canonicalize(graphs[args.name], cfg.semantics, cap=cfg.iso_cap).canonical
-    group = automorphisms(pic, cap=cfg.iso_cap)
+    pics, _ = _solve_names(_read_program(args.file), cfg, (args.name,))
+    group = automorphisms(pics[args.name], cap=cfg.iso_cap)
     if args.json:
         print(json.dumps(
             {"name": args.name, "order": group.order,
@@ -328,6 +330,18 @@ def _term_text(term) -> str:
     raise TypeError(f"unknown term {term!r}")
 
 
+# REPL directives and their usage lines; the operand count is checked first.
+REPL_USAGE = {
+    ":eq": ":eq A B",
+    ":canon": ":canon A",
+    ":aut": ":aut A",
+    ":rigid": ":rigid A",
+    ":picture": ":picture A FILE",
+    ":mode": ":mode M",
+    ":quit": ":quit",
+}
+
+
 def cmd_repl(args) -> int:
     from .hsl import AtomDecl
 
@@ -344,70 +358,47 @@ def cmd_repl(args) -> int:
                 chunks.append(f"{stmt.name} = {_term_text(stmt.term)};")
         return "\n".join(chunks)
 
-    def solve_name(name: str):
-        program = parse(program_text())
-        if cfg.mode == "boffa":
-            u = Universe()
-            ids = flatten_into(program, u)
-            if name not in ids:
-                raise UndefinedName(f"name {name!r} is not defined")
-            return u.picture_of(ids[name])
-        graphs = flatten(program)
-        if name not in graphs:
-            raise UndefinedName(f"name {name!r} is not defined")
-        return canonicalize(graphs[name], cfg.semantics, cap=cfg.iso_cap).canonical
-
-    def eq_names(a: str, b: str) -> bool:
-        program = parse(program_text())
-        if cfg.mode == "boffa":
-            u = Universe()
-            ids = flatten_into(program, u)
-            for name in (a, b):
-                if name not in ids:
-                    raise UndefinedName(f"name {name!r} is not defined")
-            return ids[a] == ids[b]
-        graphs = flatten(program)
-        for name in (a, b):
-            if name not in graphs:
-                raise UndefinedName(f"name {name!r} is not defined")
-        return equal(graphs[a], graphs[b], cfg.semantics, cap=cfg.iso_cap)
+    def solve(names, pictures=True):
+        return _solve_names(parse(program_text()), cfg, names, pictures)
 
     for raw in sys.stdin:
         line = raw.strip()
         if not line:
             continue
         try:
-            if line == ":quit":
-                break
-            elif line.startswith(":mode"):
-                _, mode = line.split()
-                cfg = Config(mode=mode, iso_cap=cfg.iso_cap)
-                out.write(f"mode {mode}\n")
-            elif line.startswith(":eq"):
-                _, a, b = line.split()
-                out.write(("equal" if eq_names(a, b) else "unequal") + "\n")
-            elif line.startswith(":canon"):
-                _, name = line.split()
-                out.write(unparse(solve_name(name)))
-            elif line.startswith(":aut"):
-                _, name = line.split()
-                out.write(f"order {automorphisms(solve_name(name), cap=cfg.iso_cap).order}\n")
-            elif line.startswith(":rigid"):
-                _, name = line.split()
-                out.write(("rigid" if is_rigid(solve_name(name), cap=cfg.iso_cap) else "not rigid") + "\n")
-            elif line.startswith(":picture"):
-                _, name, path = line.split()
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(to_dot(solve_name(name), name=name))
-                out.write(f"wrote {path}\n")
-            elif line.startswith(":"):
-                out.write(f"unknown directive {line.split()[0]}\n")
-            else:
+            if not line.startswith(":"):
                 for stmt in parse(line).statements:
                     statements[stmt.name] = stmt
-        except HypersetError as exc:
-            out.write(f"error: {exc}\n")
-        except ValueError as exc:
+                continue
+            directive, *operands = line.split()
+            usage = REPL_USAGE.get(directive)
+            if usage is None:
+                out.write(f"unknown directive {directive}\n")
+            elif len(operands) != len(usage.split()) - 1:
+                out.write(f"usage: {usage}\n")
+            elif directive == ":quit":
+                break
+            elif directive == ":mode":
+                cfg = Config(mode=operands[0], iso_cap=cfg.iso_cap)
+                out.write(f"mode {operands[0]}\n")
+            elif directive == ":eq":
+                a, b = operands
+                _, classes = solve(operands, pictures=False)
+                out.write(("equal" if classes[a] == classes[b] else "unequal") + "\n")
+            else:
+                name = operands[0]
+                pic = solve(operands[:1])[0][name]
+                if directive == ":canon":
+                    out.write(unparse(pic))
+                elif directive == ":aut":
+                    out.write(f"order {automorphisms(pic, cap=cfg.iso_cap).order}\n")
+                elif directive == ":rigid":
+                    out.write(("rigid" if is_rigid(pic, cap=cfg.iso_cap) else "not rigid") + "\n")
+                else:
+                    with open(operands[1], "w", encoding="utf-8") as fh:
+                        fh.write(to_dot(pic, name=name))
+                    out.write(f"wrote {operands[1]}\n")
+        except (HypersetError, ValueError, OSError) as exc:
             out.write(f"error: {exc}\n")
     return EXIT_OK
 
@@ -418,12 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="A desk-scale laboratory for non-well-founded set theory.",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    # A string default goes through the option's type, so HS_CAP is
+    # validated like --cap.
+    cap_default = os.environ.get("HS_CAP") or str(DEFAULT_ISO_CAP)
 
     def add_common(p, mode=True):
         if mode:
             p.add_argument("--mode", choices=MODES, default="afa")
-        p.add_argument("--cap", type=int, default=_default_cap(),
-                       help="size cap for isomorphism-flavoured searches")
+        p.add_argument("--cap", type=_int_at_least(1), default=cap_default,
+                       help="node cap for FAFA partitions, isomorphism and automorphism search")
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("solve", help="canonicalize every named set in a program")
@@ -446,14 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_aut)
 
     p = sub.add_parser("wf", help="cumulative hierarchy over Quine atoms")
-    p.add_argument("--atoms", type=int, required=True)
-    p.add_argument("--levels", type=int, required=True)
+    p.add_argument("--atoms", type=_int_at_least(0), required=True)
+    p.add_argument("--levels", type=_int_at_least(0), required=True)
     p.add_argument("--perm", help="atom permutation in cycle notation, e.g. '(0 1)'")
     p.add_argument("--embed-into", type=int,
                    help="embed into a stage over this many atoms")
     p.add_argument("--report", action="store_true",
                    help="print the verification report (the default)")
-    p.add_argument("--cap", type=int, default=1 << 16)
+    p.add_argument("--cap", type=_int_at_least(1), default=1 << 16)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_wf)
 
@@ -473,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--cap", type=int, default=_default_cap())
+    p.add_argument("--cap", type=_int_at_least(1), default=cap_default)
     p.set_defaults(func=cmd_search_separation)
 
     p = sub.add_parser("repl", help="interactive session reading stdin")

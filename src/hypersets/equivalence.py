@@ -12,7 +12,7 @@ all three coincide with the Mostowski collapse.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 
 from .apg import Apg, DEFAULT_ISO_CAP, Partition, pointed_isomorphic, trim_to_accessible
 from .errors import SizeLimitExceeded
@@ -135,20 +135,19 @@ def counting_partition(g: Apg) -> Partition:
     """Coarsest partition where same-class nodes have equal numbers of
     children in every class.
 
-    Starts from the single-class partition and splits by the sorted
-    (class, count) signature of each node's children until stable.
+    Starts from the single-class partition and splits by the multiset of
+    each node's child classes, as a sorted tuple, until stable.
     """
     n = g.node_count
+    children = g.children
     classes = [0] * n
     ncl = 1 if n else 0
     while True:
         table: dict[tuple, int] = {}
-        nxt = [0] * n
-        for u in range(n):
-            sig = tuple(sorted(Counter(classes[v] for v in g.children[u]).items()))
-            if sig not in table:
-                table[sig] = len(table)
-            nxt[u] = table[sig]
+        nxt = [
+            table.setdefault(tuple(sorted([classes[v] for v in kids])), len(table))
+            for kids in children
+        ]
         if len(table) == ncl:
             return Partition.from_class_of(nxt)
         classes, ncl = nxt, len(table)

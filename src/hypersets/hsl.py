@@ -15,7 +15,7 @@ semantics, where they mint labeled Quine atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional
 
 from .apg import Apg, trim_to_accessible
 from .boffa import Universe
@@ -49,7 +49,10 @@ class NatTerm:
     value: int
 
 
-Term = Union[NameRef, SetTerm, TupleTerm, NatTerm]
+# PEP 604 unions: a typing.Union subscription would sit in typing's
+# module-level cache and keep these classes, and this module with them,
+# alive after the package is reloaded.
+Term = NameRef | SetTerm | TupleTerm | NatTerm
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ class AtomDecl:
     name: str
 
 
-Statement = Union[Definition, AtomDecl]
+Statement = Definition | AtomDecl
 
 
 @dataclass(frozen=True)
@@ -296,8 +299,10 @@ class _GraphBuilder:
         }
 
 
-def flatten(program: HslProgram) -> dict[str, Apg]:
-    """One rooted APG per defined name (pure AFA/SAFA/FAFA modes)."""
+def flatten(program: HslProgram, names: Optional[Iterable[str]] = None) -> dict[str, Apg]:
+    """One rooted APG per defined name, or per name in ``names`` (pure
+    AFA/SAFA/FAFA modes).  Only the requested names are trimmed out of the
+    program's graph, so asking for fewer names costs less."""
     if program.atom_names:
         raise AtomOutsideBoffa(
             "atom declarations need Boffa semantics; the isomorphism-flavoured "
@@ -305,9 +310,10 @@ def flatten(program: HslProgram) -> dict[str, Apg]:
         )
     builder = _GraphBuilder(program)
     out = {}
-    for name in program.defined_names:
-        g, _ = trim_to_accessible(builder.children, builder.node_of[name])
-        out[name] = g
+    for name in program.defined_names if names is None else names:
+        if name not in builder.node_of:
+            raise UndefinedName(f"name {name!r} is not defined")
+        out[name], _ = trim_to_accessible(builder.children, builder.node_of[name])
     return out
 
 
@@ -383,7 +389,6 @@ def unparse(g: Apg) -> str:
     pos = {u: i for i, u in enumerate(order)}
     parents = g.parents()
 
-    reach = _reach_sets(g)
     num_val = _numeral_values(g)
 
     skip: set[int] = set()
@@ -391,12 +396,16 @@ def unparse(g: Apg) -> str:
 
     for u in order:
         k = num_val[u]
-        if k is None or len(reach[u]) != k + 1:
+        if k is None:
             continue
-        interior = reach[u] - {u}
+        # u and its k children already make k + 1 nodes
+        reach = _reach(g, u, k + 1)
+        if reach is None:
+            continue
+        interior = reach - {u}
         if g.root in interior:
             continue
-        if any(not parents[d] <= reach[u] for d in interior):
+        if any(not parents[d] <= reach for d in interior):
             continue
         sugar[u] = str(k)
         skip |= interior
@@ -449,19 +458,19 @@ def _bfs_order(g: Apg) -> list[int]:
     return order
 
 
-def _reach_sets(g: Apg) -> list[set[int]]:
-    out = []
-    for u in range(g.node_count):
-        seen = {u}
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            for v in g.children[w]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        out.append(seen)
-    return out
+def _reach(g: Apg, u: int, limit: int) -> Optional[set[int]]:
+    """The nodes reachable from u, u included, or None once there are more
+    than ``limit`` of them."""
+    seen = {u}
+    stack = [u]
+    while stack:
+        for v in g.children[stack.pop()]:
+            if v not in seen:
+                if len(seen) == limit:
+                    return None
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 def _numeral_values(g: Apg) -> list[Optional[int]]:

@@ -211,6 +211,18 @@ def afa_equal_via_union(g1: Apg, g2: Apg) -> bool:
     return p.same_class(g1.root, g2.root + offset)
 
 
+def equal_by_canonical_forms(g1: Apg, g2: Apg, s, cap: int = 512) -> bool:
+    """Equality as decided pair by pair before the joint canonicalization:
+    canonicalize each graph on its own, then search for a pointed
+    isomorphism between the two canonical forms."""
+    from hypersets.apg import pointed_isomorphic
+    from hypersets.canon import canonicalize
+
+    c1 = canonicalize(g1, s, cap=cap).canonical
+    c2 = canonicalize(g2, s, cap=cap).canonical
+    return pointed_isomorphic(c1, c2, cap=cap) is not None
+
+
 def check_membership_iso(u, f: dict[int, int]) -> None:
     """Independent verifier: f is a partial membership isomorphism between
     transitive subsets of the universe u."""

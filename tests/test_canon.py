@@ -2,23 +2,26 @@ import random
 
 import pytest
 
-from hypersets.apg import Apg, pointed_isomorphic
+from hypersets.apg import Apg, DEFAULT_ISO_CAP, pointed_isomorphic
 from hypersets.canon import (
     Semantics,
     automorphisms,
     canonicalize,
     equal,
+    equality_classes,
     is_canonical_picture,
     is_rigid,
+    picture_classes,
     to_dot,
 )
 from hypersets.equivalence import counting_partition, finsler_partition, max_bisimulation
 from hypersets.errors import SizeLimitExceeded
-from hypersets.random_graphs import random_apg
+from hypersets.random_graphs import random_apg, random_performance_graph
 
 from oracles import (
     afa_equal_via_union,
     brute_force_automorphism_count,
+    equal_by_canonical_forms,
     safa_equal_by_unfolding,
 )
 
@@ -123,6 +126,58 @@ class TestEqual:
             g1 = random_apg(rng, 10)
             g2 = random_apg(rng, 10)
             assert equal(g1, g2, Semantics.AFA) == afa_equal_via_union(g1, g2)
+
+
+def relabelled(rng: random.Random, g: Apg) -> Apg:
+    """g with its node ids shuffled."""
+    perm = list(range(g.node_count))
+    rng.shuffle(perm)
+    children = [fs()] * g.node_count
+    for u, kids in enumerate(g.children):
+        children[perm[u]] = fs(perm[v] for v in kids)
+    return Apg(tuple(children), perm[g.root])
+
+
+class TestEqualityClasses:
+    def test_matches_canonical_forms_reference(self):
+        rng = random.Random(65)
+        for _ in range(1000):
+            g1 = random_apg(rng, 7)
+            g2 = random_apg(rng, 7)
+            for s in ALL_MODES:
+                assert equal(g1, g2, s) == equal_by_canonical_forms(g1, g2, s), (s, g1, g2)
+            assert equal(g1, g2, Semantics.AFA) == afa_equal_via_union(g1, g2)
+
+    def test_classes_agree_with_pairwise_equal(self):
+        rng = random.Random(66)
+        for _ in range(100):
+            graphs = [random_apg(rng, 5) for _ in range(6)]
+            for s in ALL_MODES:
+                classes = equality_classes(graphs, s)
+                pictures = [canonicalize(g, s).canonical for g in graphs]
+                assert picture_classes(pictures, s) == classes
+                assert classes[0] == 0 and max(classes) < len(set(classes))
+                for i, g in enumerate(graphs):
+                    for j, h in enumerate(graphs):
+                        want = equal_by_canonical_forms(g, h, s)
+                        assert (classes[i] == classes[j]) == want
+
+    def test_empty_and_single(self):
+        for s in ALL_MODES:
+            assert equality_classes([], s) == []
+            assert equality_classes([XQ], s) == [0]
+
+    def test_beyond_isomorphism_cap(self):
+        # Pairwise comparison of canonical forms raised SizeLimitExceeded
+        # here; the joint pass needs no isomorphism search.
+        rng = random.Random(67)
+        g = random_performance_graph(rng, 2000, 6000)
+        copy = relabelled(rng, g)
+        for s in (Semantics.AFA, Semantics.SAFA):
+            assert canonicalize(g, s).canonical.node_count > DEFAULT_ISO_CAP
+            assert equal(g, copy, s)
+        with pytest.raises(SizeLimitExceeded):
+            equal(g, copy, Semantics.FAFA)
 
 
 class TestCanonicity:

@@ -1,9 +1,11 @@
 import io
 import json
 import pathlib
+import random
 
 import pytest
 
+from hypersets.canon import Semantics, equal
 from hypersets.cli import (
     EXIT_CAP,
     EXIT_NO_WITNESS,
@@ -13,6 +15,7 @@ from hypersets.cli import (
     EXIT_UNEQUAL,
     main,
 )
+from hypersets.hsl import flatten, parse
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 
@@ -89,6 +92,37 @@ class TestSolve:
         assert out1 == out2
 
 
+def random_program(rng: random.Random, names: int) -> str:
+    """Equations over n0..n{names-1}: sets of names, pairs and numerals."""
+    lines = []
+    for i in range(names):
+        pick = lambda: f"n{rng.randrange(names)}"  # noqa: E731
+        kind = rng.random()
+        if kind < 0.15:
+            term = str(rng.randrange(4))
+        elif kind < 0.3:
+            term = f"<{pick()}, {pick()}>"
+        else:
+            term = "{" + ", ".join(pick() for _ in range(rng.randrange(4))) + "}"
+        lines.append(f"n{i} = {term};")
+    return "\n".join(lines) + "\n"
+
+
+class TestSolvePairs:
+    def test_verdicts_match_pairwise_equal(self, capsys, program):
+        rng = random.Random(70)
+        for _ in range(30):
+            text = random_program(rng, rng.randint(2, 7))
+            graphs = flatten(parse(text))
+            path = program(text)
+            for mode in ("afa", "safa", "fafa"):
+                code, out = run(capsys, "solve", path, "--mode", mode, "--json")
+                assert code == EXIT_OK
+                for pair in json.loads(out)["pairs"]:
+                    want = equal(graphs[pair["a"]], graphs[pair["b"]], Semantics(mode))
+                    assert pair["equal"] == want, (text, mode, pair)
+
+
 class TestEq:
     def test_equal_exit_zero(self, capsys, program):
         path = program("o = {o}; a = {b}; b = {a};")
@@ -104,6 +138,44 @@ class TestEq:
         path = program("two = 2; lit = {z, s}; z = {}; s = {z};")
         code, _ = run(capsys, "eq", path, "two", "lit")
         assert code == EXIT_OK
+
+    def test_undefined_name_pure_mode(self, capsys, program):
+        path = program("x = {x};")
+        assert main(["eq", path, "x", "y", "--mode", "safa"]) == EXIT_SEMANTIC
+        assert "name 'y' is not defined" in capsys.readouterr().err
+
+    def test_beyond_isomorphism_cap(self, capsys, program):
+        # two 100-name rings with an aperiodic tag word: their canonical
+        # forms are larger than the cap, which bounds FAFA only
+        ring = lambda p, n: "".join(  # noqa: E731
+            f"{p}{i} = {{{p}{(i + 1) % n}, {i % 7}}};" for i in range(n))
+        path = program(ring("a", 100) + ring("b", 100))
+        for mode in ("afa", "safa"):
+            code, out = run(capsys, "eq", path, "a0", "b0", "--mode", mode, "--cap", "64")
+            assert (code, out.strip()) == (EXIT_OK, "equal")
+        assert main(["eq", path, "a0", "b0", "--mode", "fafa", "--cap", "64"]) == EXIT_CAP
+
+
+class TestCapValidation:
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_hs_cap_exits_two(self, capsys, monkeypatch, program, value):
+        monkeypatch.setenv("HS_CAP", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", program("x = {x};")])
+        assert exc.value.code == EXIT_SEMANTIC
+        err = capsys.readouterr().err
+        assert "expected an integer >= 1" in err and "Traceback" not in err
+
+    def test_good_hs_cap_is_used(self, monkeypatch, program):
+        monkeypatch.setenv("HS_CAP", "1")
+        path = program("a = {b, a}; b = {a};")
+        assert main(["solve", path, "--mode", "fafa"]) == EXIT_CAP
+
+    @pytest.mark.parametrize("value", ["abc", "0", "1.5"])
+    def test_bad_cap_flag_exits_two(self, capsys, program, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["eq", program("x = {x};"), "x", "x", "--cap", value])
+        assert exc.value.code == EXIT_SEMANTIC
 
 
 class TestAut:
@@ -136,6 +208,15 @@ class TestWf:
 
     def test_cap_exit(self, capsys):
         assert main(["wf", "--atoms", "3", "--levels", "3"]) == EXIT_CAP
+
+    @pytest.mark.parametrize("flag", ["--atoms", "--levels"])
+    def test_negative_counts_rejected(self, capsys, flag):
+        argv = {"--atoms": "1", "--levels": "1"}
+        argv[flag] = "-1"
+        with pytest.raises(SystemExit) as exc:
+            main(["wf", *(x for kv in argv.items() for x in kv)])
+        assert exc.value.code == EXIT_SEMANTIC
+        assert "expected an integer >= 0" in capsys.readouterr().err
 
 
 class TestGroup:
@@ -220,6 +301,30 @@ class TestRepl:
         )
         assert "error" in out
         assert "rigid" in out
+
+    def test_wrong_operand_count_prints_usage(self, capsys, monkeypatch):
+        out = self.run_script(
+            capsys, monkeypatch,
+            "x = {x};\n:eq x\n:canon\n:mode\n:picture x\n:rigid x\n:quit\n",
+        )
+        assert out.splitlines() == [
+            "usage: :eq A B",
+            "usage: :canon A",
+            "usage: :mode M",
+            "usage: :picture A FILE",
+            "rigid",
+        ]
+
+    def test_unwritable_picture_path_keeps_session(self, capsys, monkeypatch, tmp_path):
+        bad = tmp_path / "missing" / "x.dot"
+        out = self.run_script(
+            capsys, monkeypatch, f"x = {{x}};\n:picture x {bad}\n:canon x\n:quit\n"
+        )
+        assert out.startswith("error: ") and out.endswith("x0 = {x0};\n")
+
+    def test_unknown_directive(self, capsys, monkeypatch):
+        out = self.run_script(capsys, monkeypatch, ":eqq x y\n:quit\n")
+        assert out == "unknown directive :eqq\n"
 
     def test_mode_switch(self, capsys, monkeypatch):
         out = self.run_script(

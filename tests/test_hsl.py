@@ -93,6 +93,18 @@ class TestFlatten:
         gs = flatten(parse("x = {y}; y = {};"))
         assert gs["x"].node_count == 2
 
+    def test_selected_names(self):
+        program = parse("a = {b}; b = {a, c}; c = 3; d = <a, c>;")
+        every = flatten(program)
+        some = flatten(program, ["d", "a"])
+        assert list(some) == ["d", "a"]
+        for name, g in some.items():
+            assert g == every[name]
+
+    def test_selected_name_undefined(self):
+        with pytest.raises(UndefinedName, match="name 'z' is not defined"):
+            flatten(parse("x = {x};"), ["x", "z"])
+
 
 class TestFlattenIntoBoffa:
     def test_atoms_minted_with_labels(self):
