@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Optional
+from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from .errors import NotWellFounded, SizeLimitExceeded
 
@@ -48,14 +48,6 @@ class Apg:
     @property
     def edge_count(self) -> int:
         return sum(len(kids) for kids in self.children)
-
-    def parents(self) -> tuple[frozenset[int], ...]:
-        """Reverse adjacency: parents()[v] = nodes that have v as a child."""
-        pred: list[set[int]] = [set() for _ in self.children]
-        for u, kids in enumerate(self.children):
-            for v in kids:
-                pred[v].add(u)
-        return tuple(frozenset(p) for p in pred)
 
 
 @dataclass(frozen=True)
@@ -297,13 +289,19 @@ def quotient(g: Apg, p: Partition) -> tuple[Apg, tuple[int, ...]]:
 
 # --- isomorphism machinery -------------------------------------------------
 
-def _stable_colors(
-    children: list[frozenset[int]],
-    parents: list[frozenset[int]],
-    init: list[int],
-) -> list[int]:
+def _parent_sets(children) -> list[set[int]]:
+    """Reverse adjacency: the nodes that have v as a child, for each v."""
+    pred: list[set[int]] = [set() for _ in children]
+    for u, kids in enumerate(children):
+        for v in kids:
+            pred[v].add(u)
+    return pred
+
+
+def _stable_colors(children, init: list[int]) -> list[int]:
     """Iterated refinement by (color, child-color multiset, parent-color
     multiset) until the number of colors stops growing."""
+    parents = _parent_sets(children)
     colors = list(init)
     ncolors = len(set(colors))
     while True:
@@ -321,6 +319,69 @@ def _stable_colors(
         if len(table) == ncolors:
             return nxt
         colors, ncolors = nxt, len(table)
+
+
+def isomorphisms(ch1, colors1, ch2, colors2) -> Iterator[tuple[int, ...]]:
+    """Every colour-preserving bijection from graph 1 onto graph 2 that
+    preserves and reflects edges, as a tuple of images.
+
+    The one backtracking search of the package.  Nodes are mapped in order
+    of (size of colour class, node id), each to the unused nodes of its
+    colour in ascending order, so the results come in a fixed order.  The
+    colours must be invariant under the maps sought, and nodes of one
+    colour must have equal out-degrees (``_stable_colors`` gives both).
+    Self-loops are never checked directly: every other edge is, so a
+    degree-preserving map carries loops onto loops.
+    """
+    n = len(ch1)
+    if n != len(ch2):
+        return
+    if n == 0:
+        yield ()
+        return
+    par1, par2 = _parent_sets(ch1), _parent_sets(ch2)
+    by_color: dict[int, list[int]] = {}
+    for w in range(n):
+        by_color.setdefault(colors2[w], []).append(w)
+    # Class sizes are read in graph 2: where they differ, no map exists.
+    order = sorted(range(n), key=lambda u: (len(by_color.get(colors1[u], ())), u))
+    fwd = [-1] * n
+    rev = [-1] * n
+
+    def consistent(u: int, w: int) -> bool:
+        for c in ch1[u]:
+            if fwd[c] >= 0 and fwd[c] not in ch2[w]:
+                return False
+        for p in par1[u]:
+            if fwd[p] >= 0 and w not in ch2[fwd[p]]:
+                return False
+        for c in ch2[w]:
+            if rev[c] >= 0 and rev[c] not in ch1[u]:
+                return False
+        for p in par2[w]:
+            if rev[p] >= 0 and u not in ch1[rev[p]]:
+                return False
+        return True
+
+    # Depth-first over an explicit stack of candidate iterators, one per
+    # mapped node, so the depth is not bounded by Python's recursion limit.
+    stack = [iter(by_color.get(colors1[order[0]], ()))]
+    while stack:
+        u = order[len(stack) - 1]
+        if fwd[u] >= 0:  # undo this depth's previous choice
+            rev[fwd[u]] = -1
+            fwd[u] = -1
+        for w in stack[-1]:
+            if rev[w] < 0 and consistent(u, w):
+                fwd[u], rev[w] = w, u
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) == n:
+            yield tuple(fwd)
+        else:
+            stack.append(iter(by_color.get(colors1[order[len(stack)]], ())))
 
 
 def pointed_isomorphic(
@@ -344,91 +405,40 @@ def pointed_isomorphic(
     children = list(g1.children) + [
         frozenset(v + offset for v in kids) for kids in g2.children
     ]
-    parents_all: list[set[int]] = [set() for _ in range(2 * n)]
-    for u, kids in enumerate(children):
-        for v in kids:
-            parents_all[v].add(u)
-    parents = [frozenset(s) for s in parents_all]
     init = [0] * (2 * n)
     init[g1.root] = 1
     init[g2.root + offset] = 1
-    colors = _stable_colors(children, parents, init)
+    colors = _stable_colors(children, init)
 
     c1 = colors[:n]
     c2 = colors[n:]
     if sorted(c1) != sorted(c2):
         return None
 
-    by_color: dict[int, list[int]] = {}
-    for v in range(n):
-        by_color.setdefault(c2[v], []).append(v)
-
-    # Map in BFS order from the root so every new node touches mapped ones.
-    order = []
-    seen = {g1.root}
-    queue = deque([g1.root])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in sorted(g1.children[u]):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-
-    ch1, ch2 = g1.children, g2.children
-    par1 = _parent_sets(ch1)
-    par2 = _parent_sets(ch2)
-
-    fwd: dict[int, int] = {}
-    used = [False] * n
-
-    def consistent(u: int, w: int) -> bool:
-        for c in ch1[u]:
-            if c in fwd and fwd[c] not in ch2[w]:
-                return False
-        for p in par1[u]:
-            if p in fwd and w not in ch2[fwd[p]]:
-                return False
-        for c in ch2[w]:
-            pre = rev.get(c)
-            if pre is not None and pre not in ch1[u]:
-                return False
-        for p in par2[w]:
-            pre = rev.get(p)
-            if pre is not None and u not in ch1[pre]:
-                return False
-        return True
-
-    rev: dict[int, int] = {}
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
-        u = order[i]
-        for w in by_color.get(c1[u], ()):
-            if used[w] or not consistent(u, w):
-                continue
-            fwd[u] = w
-            rev[w] = u
-            used[w] = True
-            if backtrack(i + 1):
-                return True
-            del fwd[u]
-            del rev[w]
-            used[w] = False
-        return False
-
-    if backtrack(0):
-        return dict(fwd)
-    return None
+    found = next(isomorphisms(g1.children, c1, g2.children, c2), None)
+    return None if found is None else dict(enumerate(found))
 
 
-def _parent_sets(children) -> list[set[int]]:
-    pred: list[set[int]] = [set() for _ in children]
-    for u, kids in enumerate(children):
-        for v in kids:
-            pred[v].add(u)
-    return pred
+def _reduce_generators(perms: Iterable[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """The permutations, in the order given, that are not generated by the
+    ones kept before them; together they generate every one of perms."""
+    identity = tuple(range(n))
+    generated = {identity}
+    gens: list[tuple[int, ...]] = []
+    for p in perms:
+        if p in generated:
+            continue
+        gens.append(p)
+        frontier = list(generated)
+        generated.add(p)
+        while frontier:
+            q = frontier.pop()
+            for r in gens:
+                comp = tuple(q[r[i]] for i in range(n))
+                if comp not in generated:
+                    generated.add(comp)
+                    frontier.append(comp)
+    return gens
 
 
 # --- JSON graph format -----------------------------------------------------

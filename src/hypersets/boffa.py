@@ -330,7 +330,8 @@ def _reaches_cycle(keys: list, children: Mapping, resolved: set) -> set:
 
 def _topo_order(keys: list, children: Mapping, ill: set) -> list:
     """Children-first order of the well-founded keys (ill-founded and
-    already-resolved nodes are treated as leaves)."""
+    already-resolved nodes are treated as leaves).  Children are visited in
+    ``_stable_key`` order, so the order does not depend on string hashing."""
     wf = [k for k in keys if k not in ill]
     wf_set = set(wf)
     out: list = []
@@ -338,7 +339,7 @@ def _topo_order(keys: list, children: Mapping, ill: set) -> list:
     for start in wf:
         if state[start]:
             continue
-        stack = [(start, iter(children[start]))]
+        stack = [(start, iter(sorted(children[start], key=_stable_key)))]
         state[start] = 1
         while stack:
             k, it = stack[-1]
@@ -346,7 +347,7 @@ def _topo_order(keys: list, children: Mapping, ill: set) -> list:
             for c in it:
                 if c in wf_set and state[c] == 0:
                     state[c] = 1
-                    stack.append((c, iter(children[c])))
+                    stack.append((c, iter(sorted(children[c], key=_stable_key))))
                     advanced = True
                     break
             if not advanced:

@@ -12,7 +12,6 @@ plain node identity.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -21,8 +20,9 @@ from .apg import (
     Apg,
     DEFAULT_ISO_CAP,
     Partition,
-    _parent_sets,
+    _reduce_generators,
     _stable_colors,
+    isomorphisms,
     pointed_isomorphic,
     quotient,
 )
@@ -174,24 +174,13 @@ class AutomorphismGroup:
     elements: tuple[tuple[int, ...], ...]
 
 
-def automorphisms(
-    g: Apg, cap: int = DEFAULT_ISO_CAP, exhaustive_limit: int = 8
-) -> AutomorphismGroup:
-    """All root-preserving edge-preserving node permutations of g.
+def automorphisms(g: Apg, cap: int = DEFAULT_ISO_CAP) -> AutomorphismGroup:
+    """All root-preserving edge-preserving node permutations of g, sorted.
 
-    Graphs with at most ``exhaustive_limit`` nodes are handled by filtering
-    every root-fixing permutation (oracle mode); larger graphs use
-    ordered-partition backtracking seeded by the counting classes, which
-    every automorphism preserves.  The group is enumerated explicitly, so
-    this is only meant for graphs whose automorphism group is small.
+    The group is enumerated explicitly, so this is only meant for graphs
+    whose automorphism group is small.
     """
-    if g.node_count > cap:
-        raise SizeLimitExceeded(f"automorphism search capped at {cap} nodes")
-    if g.node_count <= exhaustive_limit:
-        perms = _brute_force_automorphisms(g)
-    else:
-        perms = _search_automorphisms(g, stop_nontrivial=False)
-    perms.sort()
+    perms = sorted(_automorphism_search(g, cap))
     return AutomorphismGroup(
         order=len(perms),
         generators=tuple(_reduce_generators(perms, g.node_count)),
@@ -201,118 +190,18 @@ def automorphisms(
 
 def is_rigid(g: Apg, cap: int = DEFAULT_ISO_CAP) -> bool:
     """True iff the identity is the only root-preserving automorphism."""
+    identity = tuple(range(g.node_count))
+    return all(p == identity for p in _automorphism_search(g, cap))
+
+
+def _automorphism_search(g: Apg, cap: int):
+    """The automorphisms of g, lazily, from colours that fix the root."""
     if g.node_count > cap:
         raise SizeLimitExceeded(f"automorphism search capped at {cap} nodes")
-    found = _search_automorphisms(g, stop_nontrivial=True)
-    identity = tuple(range(g.node_count))
-    return all(p == identity for p in found)
-
-
-def _brute_force_automorphisms(g: Apg) -> list[tuple[int, ...]]:
-    n = g.node_count
-    others = [u for u in range(n) if u != g.root]
-    out = []
-    for images in itertools.permutations(others):
-        perm = [0] * n
-        perm[g.root] = g.root
-        for u, w in zip(others, images):
-            perm[u] = w
-        if all(
-            frozenset(perm[v] for v in g.children[u]) == g.children[perm[u]]
-            for u in range(n)
-        ):
-            out.append(tuple(perm))
-    return out
-
-
-def _automorphism_colors(g: Apg) -> list[int]:
-    counting = counting_partition(g)
-    init = [2 * c for c in counting.class_of]
-    init[g.root] += 1  # the root is fixed by every automorphism
-    return _stable_colors(list(g.children), list(g.parents()), init)
-
-
-def _search_automorphisms(g: Apg, stop_nontrivial: bool) -> list[tuple[int, ...]]:
-    """Backtracking enumeration.  With ``stop_nontrivial`` the identity
-    image is tried last at every node, so the first permutation completed
-    is non-identity whenever any nontrivial automorphism exists."""
-    n = g.node_count
-    colors = _automorphism_colors(g)
-    by_color: dict[int, list[int]] = {}
-    for u in range(n):
-        by_color.setdefault(colors[u], []).append(u)
-
-    order = sorted(range(n), key=lambda u: (len(by_color[colors[u]]), u))
-    ch = g.children
-    par = _parent_sets(ch)
-
-    fwd: dict[int, int] = {}
-    rev: dict[int, int] = {}
-    used = [False] * n
-    results: list[tuple[int, ...]] = []
-
-    def consistent(u: int, w: int) -> bool:
-        for c in ch[u]:
-            if c in fwd and fwd[c] not in ch[w]:
-                return False
-        for p in par[u]:
-            if p in fwd and w not in ch[fwd[p]]:
-                return False
-        for c in ch[w]:
-            pre = rev.get(c)
-            if pre is not None and pre not in ch[u]:
-                return False
-        for p in par[w]:
-            pre = rev.get(p)
-            if pre is not None and u not in ch[pre]:
-                return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == n:
-            results.append(tuple(fwd[u] for u in range(n)))
-            return stop_nontrivial
-        u = order[i]
-        candidates = [w for w in by_color[colors[u]] if not used[w]]
-        if stop_nontrivial:
-            candidates.sort(key=lambda w: w == u)  # identity choice last
-        for w in candidates:
-            if not consistent(u, w):
-                continue
-            fwd[u] = w
-            rev[w] = u
-            used[w] = True
-            if backtrack(i + 1):
-                return True
-            del fwd[u]
-            del rev[w]
-            used[w] = False
-        return False
-
-    backtrack(0)
-    return results
-
-
-def _reduce_generators(
-    perms: list[tuple[int, ...]], n: int
-) -> list[tuple[int, ...]]:
-    identity = tuple(range(n))
-    generated = {identity}
-    gens: list[tuple[int, ...]] = []
-    for p in perms:
-        if p in generated:
-            continue
-        gens.append(p)
-        frontier = list(generated)
-        generated.add(p)
-        while frontier:
-            q = frontier.pop()
-            for r in (p,) + tuple(gens):
-                comp = tuple(q[r[i]] for i in range(n))
-                if comp not in generated:
-                    generated.add(comp)
-                    frontier.append(comp)
-    return gens
+    init = [0] * g.node_count
+    init[g.root] = 1  # the root is fixed by every automorphism
+    colors = _stable_colors(g.children, init)
+    return isomorphisms(g.children, colors, g.children, colors)
 
 
 def to_dot(g: Apg, name: str = "hyperset") -> str:

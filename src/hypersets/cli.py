@@ -214,22 +214,19 @@ def cmd_wf(args) -> int:
         "levels": args.levels,
         "level_sizes": [len(level) for level in u.levels],
     }
+    rep = None
     if args.perm is not None:
         sigma = _parse_cycles(args.perm, args.atoms)
         rep = classify_map(u, extend_map(u, sigma))
-        doc["map"] = {
-            "verdict": rep.verdict,
-            "membership_exact": rep.membership_exact,
-            "pure_sets_fixed": rep.pure_sets_fixed,
-            "rank_preserved": rep.rank_preserved,
-            "fixed_points": rep.fixed_points,
-        }
     elif args.embed_into is not None:
         if args.embed_into < args.atoms:
             raise ValueError("--embed-into needs at least as many atoms")
         target = build_universe(args.embed_into, args.levels, cap=args.cap)
         sigma = {i: i for i in range(args.atoms)}
         rep = classify_map(u, extend_map(u, sigma, into=target))
+    else:
+        doc["automorphism_count"] = all_automorphisms(u).count
+    if rep is not None:
         doc["map"] = {
             "verdict": rep.verdict,
             "membership_exact": rep.membership_exact,
@@ -237,8 +234,6 @@ def cmd_wf(args) -> int:
             "rank_preserved": rep.rank_preserved,
             "fixed_points": rep.fixed_points,
         }
-    else:
-        doc["automorphism_count"] = all_automorphisms(u).count
 
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -443,10 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", type=_int_at_least(0), required=True)
     p.add_argument("--levels", type=_int_at_least(0), required=True)
     p.add_argument("--perm", help="atom permutation in cycle notation, e.g. '(0 1)'")
-    p.add_argument("--embed-into", type=int,
+    p.add_argument("--embed-into", type=_int_at_least(0),
                    help="embed into a stage over this many atoms")
-    p.add_argument("--report", action="store_true",
-                   help="print the verification report (the default)")
     p.add_argument("--cap", type=_int_at_least(1), default=1 << 16)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_wf)
@@ -455,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", choices=PRESET_NAMES)
     src.add_argument("--table", help='JSON file {"order": n, "table": [[...]]}')
-    p.add_argument("--group-cap", type=int, default=8)
+    p.add_argument("--group-cap", type=_int_at_least(1), default=8)
     add_common(p, mode=False)
     p.add_argument("--dot")
     p.set_defaults(func=cmd_group)
@@ -464,9 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random search for graphs where two modes disagree")
     p.add_argument("mode_a", choices=MODES[:3])
     p.add_argument("mode_b", choices=MODES[:3])
-    p.add_argument("--max-nodes", type=int, default=6)
+    p.add_argument("--max-nodes", type=_int_at_least(1), default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=_int_at_least(0), default=10_000)
     p.add_argument("--cap", type=_int_at_least(1), default=cap_default)
     p.set_defaults(func=cmd_search_separation)
 

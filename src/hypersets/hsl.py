@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .apg import Apg, trim_to_accessible
+from .apg import Apg, _parent_sets, trim_to_accessible
 from .boffa import Universe
 from .errors import (
     AtomOutsideBoffa,
@@ -387,7 +387,7 @@ def unparse(g: Apg) -> str:
     n = g.node_count
     order = _bfs_order(g)
     pos = {u: i for i, u in enumerate(order)}
-    parents = g.parents()
+    parents = _parent_sets(g.children)
 
     num_val = _numeral_values(g)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .apg import DEFAULT_ISO_CAP, _parent_sets, _stable_colors
+from .apg import DEFAULT_ISO_CAP, _reduce_generators, _stable_colors, isomorphisms
 from .errors import NotInjective, SizeLimitExceeded
 
 DEFAULT_ELEMENT_CAP = 1 << 16
@@ -216,77 +216,15 @@ def all_automorphisms(
     if n > cap:
         raise SizeLimitExceeded(f"automorphism search capped at {cap} elements")
     index = {c: i for i, c in enumerate(top)}
-    children = [
-        frozenset(index[m] for m in u.members[c]) for c in top
-    ]
-    parents = _parent_sets(children)
-    colors = _stable_colors(children, parents, [0] * n)
+    children = [frozenset(index[m] for m in u.members[c]) for c in top]
+    colors = _stable_colors(children, [0] * n)
+    found = list(isomorphisms(children, colors, children, colors))
+    # Generators are picked in order of the images' codes.
+    gens = _reduce_generators(sorted(found, key=lambda p: [top[w] for w in p]), n)
 
-    by_color: dict[int, list[int]] = {}
-    for i in range(n):
-        by_color.setdefault(colors[i], []).append(i)
-    order = sorted(range(n), key=lambda i: (len(by_color[colors[i]]), i))
+    def as_map(p: tuple[int, ...]) -> dict[int, int]:
+        return {top[i]: top[w] for i, w in enumerate(p)}
 
-    fwd: dict[int, int] = {}
-    rev: dict[int, int] = {}
-    used = [False] * n
-    found: list[dict[int, int]] = []
-
-    def consistent(i: int, w: int) -> bool:
-        for c in children[i]:
-            if c in fwd and fwd[c] not in children[w]:
-                return False
-        for p in parents[i]:
-            if p in fwd and w not in children[fwd[p]]:
-                return False
-        for c in children[w]:
-            pre = rev.get(c)
-            if pre is not None and pre not in children[i]:
-                return False
-        for p in parents[w]:
-            pre = rev.get(p)
-            if pre is not None and i not in children[pre]:
-                return False
-        return True
-
-    def backtrack(k: int) -> None:
-        if k == n:
-            found.append({top[i]: top[fwd[i]] for i in range(n)})
-            return
-        i = order[k]
-        for w in by_color[colors[i]]:
-            if used[w] or not consistent(i, w):
-                continue
-            fwd[i] = w
-            rev[w] = i
-            used[w] = True
-            backtrack(k + 1)
-            del fwd[i]
-            del rev[w]
-            used[w] = False
-
-    backtrack(0)
-
-    identity = {c: c for c in top}
-    generators: list[dict[int, int]] = []
-    generated = {_perm_key(identity, top)}
-    for perm in sorted(found, key=lambda p: _perm_key(p, top)):
-        if _perm_key(perm, top) in generated:
-            continue
-        generators.append(perm)
-        closure = {_perm_key(identity, top): identity}
-        frontier = [identity]
-        while frontier:
-            q = frontier.pop()
-            for gen in generators:
-                comp = {c: gen[q[c]] for c in top}
-                ck = _perm_key(comp, top)
-                if ck not in closure:
-                    closure[ck] = comp
-                    frontier.append(comp)
-        generated = set(closure)
-    return StructureAutomorphisms(len(found), generators, found)
-
-
-def _perm_key(perm: dict[int, int], top: list[int]) -> tuple[int, ...]:
-    return tuple(perm[c] for c in top)
+    return StructureAutomorphisms(
+        len(found), [as_map(p) for p in gens], [as_map(p) for p in found]
+    )

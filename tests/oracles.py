@@ -64,19 +64,27 @@ def brute_force_pointed_iso(g1: Apg, g2: Apg) -> bool:
     return False
 
 
-def brute_force_automorphism_count(g: Apg) -> int:
+def brute_force_automorphisms(g: Apg) -> list[tuple[int, ...]]:
+    """Every root-fixing permutation that maps each child set onto the
+    child set of the image, in lexicographic order; <= 8 nodes."""
     n = g.node_count
     others = [u for u in range(n) if u != g.root]
-    count = 0
+    out = []
     for images in itertools.permutations(others):
-        perm = {g.root: g.root}
-        perm.update(zip(others, images))
+        perm = [0] * n
+        perm[g.root] = g.root
+        for u, w in zip(others, images):
+            perm[u] = w
         if all(
             frozenset(perm[v] for v in g.children[u]) == g.children[perm[u]]
             for u in range(n)
         ):
-            count += 1
-    return count
+            out.append(tuple(perm))
+    return sorted(out)
+
+
+def brute_force_automorphism_count(g: Apg) -> int:
+    return len(brute_force_automorphisms(g))
 
 
 # --- truncated-unfolding shapes ----------------------------------------------

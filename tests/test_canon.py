@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -21,6 +22,7 @@ from hypersets.random_graphs import random_apg, random_performance_graph
 from oracles import (
     afa_equal_via_union,
     brute_force_automorphism_count,
+    brute_force_automorphisms,
     equal_by_canonical_forms,
     safa_equal_by_unfolding,
 )
@@ -228,8 +230,28 @@ class TestAutomorphisms:
             g = random_apg(rng, 7)
             assert automorphisms(g).order == brute_force_automorphism_count(g)
 
+    def test_small_graphs_match_brute_force_elements(self):
+        # random_apg rarely draws symmetric graphs, so half the graphs hang
+        # copies of one small graph under a fresh root.
+        rng = random.Random(68)
+        for i in range(400):
+            if i % 2:
+                g = random_apg(rng, 8)
+            else:
+                part = random_apg(rng, 3)
+                children = [set()]
+                for _ in range(rng.randint(2, 7 // part.node_count)):
+                    offset = len(children)
+                    children[0].add(part.root + offset)
+                    children.extend({v + offset for v in kids} for kids in part.children)
+                g = Apg(tuple(fs(kids) for kids in children), 0)
+            want = brute_force_automorphisms(g)
+            assert automorphisms(g).elements == tuple(want), g.children
+            assert is_rigid(g) == (len(want) == 1)
+
     def test_backtracking_path_matches_brute_force(self):
-        # pad graphs beyond the exhaustive threshold with a pendant chain
+        # hang a 9-node chain off the root: the padded graph, too large for
+        # brute force, has as many automorphisms as the unpadded one
         rng = random.Random(62)
         for _ in range(50):
             g = random_apg(rng, 6)
@@ -261,6 +283,15 @@ class TestAutomorphisms:
     def test_cap(self):
         with pytest.raises(SizeLimitExceeded):
             automorphisms(OMEGA, cap=0)
+
+    def test_search_deeper_than_recursion_limit(self):
+        # The search maps one node per level; it must not recurse per level.
+        rng = random.Random(71)
+        n = sys.getrecursionlimit() + 500
+        g = random_performance_graph(rng, n, 3 * n)
+        assert pointed_isomorphic(g, relabelled(rng, g), cap=n) is not None
+        assert automorphisms(g, cap=n).order == 1
+        assert is_rigid(g, cap=n)
 
 
 class TestDot:

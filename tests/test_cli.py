@@ -1,7 +1,10 @@
 import io
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -91,6 +94,24 @@ class TestSolve:
         _, out2 = run(capsys, "solve", path, "--mode", "safa")
         assert out1 == out2
 
+    def test_boffa_output_independent_of_hash_seed(self, program):
+        # Set ids must not follow the iteration order of sets of string
+        # keys, which changes with PYTHONHASHSEED.
+        path = program(
+            "n0 = {n2, n2, n5}; n1 = {2, 1}; n2 = {n4}; n3 = {n6, n1}; "
+            "n4 = {n3, 2, n1}; n5 = {2, n1}; n6 = {1};"
+        )
+        outs = []
+        for seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            done = subprocess.run(
+                [sys.executable, "-m", "hypersets.cli", "solve", path, "--mode", "boffa"],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outs.append(done.stdout)
+        assert outs[0] == outs[1]
+
 
 def random_program(rng: random.Random, names: int) -> str:
     """Equations over n0..n{names-1}: sets of names, pairs and numerals."""
@@ -176,6 +197,19 @@ class TestCapValidation:
         with pytest.raises(SystemExit) as exc:
             main(["eq", program("x = {x};"), "x", "x", "--cap", value])
         assert exc.value.code == EXIT_SEMANTIC
+
+    @pytest.mark.parametrize("argv, value", [
+        (["search-separation", "afa", "safa", "--max-nodes"], "0"),
+        (["search-separation", "afa", "safa", "--budget"], "-1"),
+        (["group", "--preset", "v4", "--group-cap"], "0"),
+        (["wf", "--atoms", "1", "--levels", "1", "--embed-into"], "-1"),
+    ])
+    def test_bad_integer_flags_exit_two(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value])
+        assert exc.value.code == EXIT_SEMANTIC
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hypersets") and "expected an integer >=" in err
 
 
 class TestAut:
