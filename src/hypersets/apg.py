@@ -298,27 +298,102 @@ def _parent_sets(children) -> list[set[int]]:
     return pred
 
 
-def _stable_colors(children, init: list[int]) -> list[int]:
-    """Iterated refinement by (color, child-color multiset, parent-color
-    multiset) until the number of colors stops growing."""
+def _refine(children, init=None, counting=False, parents_too=False) -> list[int]:
+    """The package's one partition-refinement engine: the coarsest
+    refinement of ``init`` (one class when None) in which the nodes of a
+    block agree, for every block B, on whether they have a child in B (AFA
+    rule) or on how many children, and with ``parents_too`` how many
+    parents, they have in B (counting rule).  One block id per node.
+
+    Worklist refinement after Paige & Tarjan (SIAM J. Comput. 1987) and
+    Valmari & Franceschinis (TACAS 2010).  The partition stays stable under
+    every compound block (a union of blocks).  A compound block S gives up
+    the smaller B of its last two blocks, and every block is split by its
+    members' count into B (counting rule) or by whether they also have a
+    child in S - B (AFA rule).  B is at most half of S, so O(m log n).
+    """
+    n = len(children)
     parents = _parent_sets(children)
-    colors = list(init)
-    ncolors = len(set(colors))
-    while True:
-        table: dict = {}
-        nxt = [0] * len(colors)
-        for u in range(len(colors)):
-            sig = (
-                colors[u],
-                tuple(sorted(colors[v] for v in children[u])),
-                tuple(sorted(colors[v] for v in parents[u])),
-            )
-            if sig not in table:
-                table[sig] = len(table)
-            nxt[u] = table[sig]
-        if len(table) == ncolors:
-            return nxt
-        colors, ncolors = nxt, len(table)
+    weight = [len(kids) for kids in children]
+    # (adj, w): each v in B adds w to the count of every u in adj[v].
+    # Parent edges weigh n + 1, so one count carries both directions.
+    sources = [(parents, 1)]
+    if parents_too:
+        sources.append((children, n + 1))
+        weight = [w + (n + 1) * len(ps) for w, ps in zip(weight, parents)]
+    keys = weight if counting else [w > 0 for w in weight]
+    table: dict = {}
+    block_of = [
+        table.setdefault(k, len(table))
+        for k in (keys if init is None else zip(init, keys))
+    ]
+    if len(table) < 2 or len(table) == n:
+        return block_of
+    blocks: list[set[int]] = [set() for _ in table]
+    for u, b in enumerate(block_of):
+        blocks[b].add(u)
+
+    xmembers = [list(range(len(blocks)))]  # compound block -> its blocks
+    xblock_of = [0] * len(blocks)
+    # AFA rule: per compound block, each node's count of children in it.
+    xcount = None if counting else [{u: w for u, w in enumerate(weight) if w}]
+    worklist = [0]  # exactly the compound blocks of two or more blocks
+    cb = [0] * n  # counts into B, reset to 0 after each split
+    while worklist:
+        s = worklist.pop()
+        members = xmembers[s]
+        b = members.pop()
+        if len(blocks[b]) > len(blocks[members[-1]]):
+            b, members[-1] = members[-1], b
+        if len(members) > 1:
+            worklist.append(s)
+        xblock_of[b] = len(xmembers)
+        xmembers.append([b])
+
+        touched = []
+        for adj, w in sources:
+            for v in blocks[b]:
+                for u in adj[v]:
+                    if not cb[u]:
+                        touched.append(u)
+                    cb[u] += w
+        groups: dict[tuple, list[int]] = {}
+        if counting:
+            for u in touched:
+                groups.setdefault((block_of[u], cb[u]), []).append(u)
+                cb[u] = 0
+        else:
+            cs = xcount[s]
+            xcount.append({u: cb[u] for u in touched})
+            for u in touched:
+                cs[u] -= cb[u]  # now the count into S - B
+                groups.setdefault((block_of[u], cs[u] > 0), []).append(u)
+                cb[u] = 0
+
+        # Move each group out of its block unless it is all that is left.
+        for (d, _), us in groups.items():
+            dblock = blocks[d]
+            if len(us) == len(dblock):
+                continue
+            nb = len(blocks)
+            blocks.append(set(us))
+            dblock.difference_update(us)
+            for u in us:
+                block_of[u] = nb
+            h = xblock_of[d]
+            xblock_of.append(h)
+            xmembers[h].append(nb)
+            if len(xmembers[h]) == 2:
+                worklist.append(h)
+        if len(blocks) == n:
+            break
+    return block_of
+
+
+def _stable_colors(children, init: list[int]) -> list[int]:
+    """Coarsest refinement of the colouring init in which same-coloured
+    nodes have equally many children and parents of every colour."""
+    return _refine(children, init, counting=True, parents_too=True)
 
 
 def isomorphisms(ch1, colors1, ch2, colors2) -> Iterator[tuple[int, ...]]:

@@ -23,10 +23,14 @@ from .errors import (
     AtomOutsideBoffa,
     DuplicateDefinition,
     HslSyntaxError,
+    SizeLimitExceeded,
     UndefinedName,
 )
 
 FILE_EXTENSION = ".hs-set"
+# Numeral k desugars to k(k+1)/2 edges; past this many edges in one
+# program's graph, flattening raises SizeLimitExceeded.
+FLATTEN_EDGE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,7 @@ class _Parser:
             elif kind == "NAME":
                 name = self.advance()[1]
                 self.expect("=")
-                term = self.term()
+                term = _run(self.term())
                 self.expect(";")
                 stmt = Definition(name, term)
             else:
@@ -176,7 +180,9 @@ class _Parser:
             statements.append(stmt)
         return HslProgram(tuple(statements))
 
-    def term(self) -> Term:
+    def term(self):
+        """Generator for ``_run``: yields a generator for each sub-term and
+        receives its result."""
         kind, value, line, col = self.peek()
         if kind == "NAME":
             self.advance()
@@ -188,18 +194,18 @@ class _Parser:
             self.advance()
             elems: list[Term] = []
             if self.peek()[0] != "}":
-                elems.append(self.term())
+                elems.append((yield self.term()))
                 while self.peek()[0] == ",":
                     self.advance()
-                    elems.append(self.term())
+                    elems.append((yield self.term()))
             self.expect("}")
             return SetTerm(tuple(elems))
         if kind == "<":
             self.advance()
-            elems = [self.term()]
+            elems = [(yield self.term())]
             while self.peek()[0] == ",":
                 self.advance()
-                elems.append(self.term())
+                elems.append((yield self.term()))
             self.expect(">")
             if len(elems) < 2:
                 raise HslSyntaxError("tuples need at least two components", line, col)
@@ -212,6 +218,24 @@ def parse(text: str) -> HslProgram:
     return _Parser(text).program()
 
 
+def _run(gen):
+    """The return value of a generator that yields a generator for each
+    recursive call and receives its result.  The calls run on an explicit
+    stack, so nesting depth is not bounded by Python's recursion limit."""
+    stack = [gen]
+    value = None
+    while stack:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(sub)
+            value = None
+    return value
+
+
 # --- flattening -------------------------------------------------------------
 
 class _GraphBuilder:
@@ -220,6 +244,7 @@ class _GraphBuilder:
     def __init__(self, program: HslProgram):
         self.children: dict = {}
         self.serial = 0
+        self.edges = 0  # edges emitted so far, held to FLATTEN_EDGE_BUDGET
         self.alias: dict[str, object] = {}  # name -> node key or alias chain
         known = set(program.defined_names) | set(program.atom_names)
         for stmt in program.statements:
@@ -229,7 +254,7 @@ class _GraphBuilder:
                 self.alias[stmt.name] = key
         for stmt in program.statements:
             if isinstance(stmt, Definition):
-                self.alias[stmt.name] = self._term_key(stmt.term, known)
+                self.alias[stmt.name] = _run(self._term_key(stmt.term, known))
         self._resolve_aliases()
 
     def _fresh(self, tag: str):
@@ -237,19 +262,24 @@ class _GraphBuilder:
         return (tag, self.serial)
 
     def _term_key(self, term: Term, known: set[str]):
+        """Generator for ``_run``: the node key of a term."""
         if isinstance(term, NameRef):
             if term.name not in known:
                 raise UndefinedName(f"name {term.name!r} is never defined")
             return ("name", term.name)
         if isinstance(term, SetTerm):
             key = self._fresh("set")
-            self.children[key] = [self._term_key(t, known) for t in term.elems]
+            kids = []
+            for t in term.elems:
+                kids.append((yield self._term_key(t, known)))
+            self.children[key] = kids
+            self.edges += len(kids)
             return key
         if isinstance(term, TupleTerm):
             rest = term.elems
-            right = self._term_key(rest[-1], known)
+            right = yield self._term_key(rest[-1], known)
             for t in reversed(rest[:-1]):
-                right = self._pair(self._term_key(t, known), right)
+                right = self._pair((yield self._term_key(t, known)), right)
             return right
         if isinstance(term, NatTerm):
             return self._numeral(term.value)
@@ -266,9 +296,16 @@ class _GraphBuilder:
             w2 = self._fresh("set")
             self.children[w2] = [a, b]
             self.children[p] = [w1, w2]
+        self.edges += 2 if a == b else 5
         return p
 
     def _numeral(self, k: int):
+        # The one construct that grows faster than the program text.
+        self.edges += k * (k + 1) // 2
+        if self.edges > FLATTEN_EDGE_BUDGET:
+            raise SizeLimitExceeded(
+                f"numeral {k} takes the desugared graph past {FLATTEN_EDGE_BUDGET} edges"
+            )
         base = self.serial + 1
         self.serial += k + 1
         for i in range(k + 1):
@@ -396,7 +433,7 @@ def unparse(g: Apg) -> str:
 
     for u in order:
         k = num_val[u]
-        if k is None:
+        if k is None or u in skip:  # inside a numeral already sugared
             continue
         # u and its k children already make k + 1 nodes
         reach = _reach(g, u, k + 1)

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's partition-refinement and
 backtracking machinery: bisimulation is a greatest-fixpoint over node
-pairs, isomorphism is brute force over bijections, unfolding shapes are
+pairs, counting partitions and colour refinement are rounds of sorted
+signatures, isomorphism is brute force over bijections, unfolding shapes are
 computed by depth-indexed dynamic programming, and the Mostowski collapse
 works rank stratum by rank stratum with hereditary frozensets.
 """
@@ -44,6 +45,49 @@ def naive_bisimulation(g: Apg) -> Partition:
             reps.append(u)
             class_of.append(len(reps) - 1)
     return Partition.from_class_of(class_of)
+
+
+def naive_counting_partition(g: Apg) -> Partition:
+    """Signature rounds: split by the sorted tuple of child classes until
+    the class count stops growing.  One round per level of a chain."""
+    classes = [0] * g.node_count
+    ncl = 1 if g.node_count else 0
+    while True:
+        table: dict[tuple, int] = {}
+        nxt = [
+            table.setdefault(tuple(sorted(classes[v] for v in kids)), len(table))
+            for kids in g.children
+        ]
+        if len(table) == ncl:
+            return Partition.from_class_of(nxt)
+        classes, ncl = nxt, len(table)
+
+
+def naive_stable_colors(children, init: list[int]) -> list[int]:
+    """Signature rounds over (colour, child-colour multiset, parent-colour
+    multiset) until the number of colours stops growing."""
+    parents: list[list[int]] = [[] for _ in children]
+    for u, kids in enumerate(children):
+        for v in kids:
+            parents[v].append(u)
+    colors = list(init)
+    ncolors = len(set(colors))
+    while True:
+        table: dict = {}
+        nxt = [
+            table.setdefault(
+                (
+                    colors[u],
+                    tuple(sorted(colors[v] for v in children[u])),
+                    tuple(sorted(colors[v] for v in parents[u])),
+                ),
+                len(table),
+            )
+            for u in range(len(colors))
+        ]
+        if len(table) == ncolors:
+            return nxt
+        colors, ncolors = nxt, len(table)
 
 
 def brute_force_pointed_iso(g1: Apg, g2: Apg) -> bool:

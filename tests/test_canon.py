@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 
 import pytest
 
@@ -271,6 +272,14 @@ class TestAutomorphisms:
         for _ in range(150):
             g = random_apg(rng, 8)
             assert is_rigid(g) == (automorphisms(g).order == 1)
+
+    def test_long_chain_refines_in_time(self):
+        # Root-marked colour refinement splits a chain level by level.
+        n = 5000
+        g = Apg(tuple(fs([u + 1]) if u + 1 < n else fs() for u in range(n)), 0)
+        start = time.perf_counter()
+        assert automorphisms(g, cap=n).order == 1
+        assert time.perf_counter() - start < 2.0
 
     def test_rigidity_of_canonical_forms(self):
         rng = random.Random(64)

@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -218,6 +219,42 @@ class TestAut:
         code, out = run(capsys, "aut", path, "d", "--mode", "boffa")
         assert code == EXIT_OK
         assert "automorphism order 2" in out
+
+    def test_long_chain(self, capsys, program):
+        # 2,401 nodes: the colour refinement that seeds the search must not
+        # take one round per level
+        n = 2401
+        path = program("".join(f"a{i} = {{a{i + 1}}};" for i in range(n - 1)) + f"a{n - 1} = {{}};")
+        code, out = run(capsys, "aut", path, "a0", "--cap", "5000")
+        assert code == EXIT_OK
+        assert "automorphism order 1" in out
+
+
+class TestBoundedInputs:
+    @pytest.mark.parametrize("mode, want", [
+        ("afa", EXIT_OK), ("safa", EXIT_OK), ("boffa", EXIT_OK), ("fafa", EXIT_CAP),
+    ])
+    def test_deep_nesting(self, program, mode, want):
+        # 5,000 nested braces: parsing and flattening must not recurse per
+        # level, and SAFA refinement must not take one round per level
+        path = program("x = " + "{" * 5000 + "}" * 5000 + ";")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "hypersets.cli", "solve", path, "--mode", mode],
+            env=env, capture_output=True, text=True,
+        )
+        assert time.perf_counter() - start < 2.0
+        assert done.returncode == want, done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_huge_numeral_hits_flatten_budget(self, capsys, program):
+        # numeral k desugars to k(k+1)/2 edges
+        start = time.perf_counter()
+        code = main(["solve", program("x = 100000;")])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CAP
+        assert "size cap" in capsys.readouterr().err
 
 
 class TestWf:

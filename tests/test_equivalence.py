@@ -1,10 +1,16 @@
 import random
+import time
 
-from hypersets.apg import Apg, pointed_isomorphic, quotient
+from hypersets.apg import Apg, Partition, _stable_colors, pointed_isomorphic, quotient
 from hypersets.equivalence import counting_partition, finsler_partition, max_bisimulation
 from hypersets.random_graphs import random_apg, random_well_founded_apg
 
-from oracles import mostowski_collapse, naive_bisimulation
+from oracles import (
+    mostowski_collapse,
+    naive_bisimulation,
+    naive_counting_partition,
+    naive_stable_colors,
+)
 
 fs = frozenset
 
@@ -68,6 +74,29 @@ class TestCountingPartition:
                 for v in range(g.node_count):
                     if p.same_class(u, v):
                         assert sig[u] == sig[v]
+
+
+class TestRefinementEngine:
+    def test_matches_signature_oracles(self):
+        rng = random.Random(2026)
+        for i in range(2000):
+            g = (random_apg if i % 2 else random_well_founded_apg)(rng, 14)
+            assert counting_partition(g) == naive_counting_partition(g)
+            root_marked = [0] * g.node_count
+            root_marked[g.root] = 1
+            for init in (root_marked, [0] * g.node_count):
+                assert Partition.from_class_of(
+                    _stable_colors(g.children, init)
+                ) == Partition.from_class_of(naive_stable_colors(g.children, init))
+
+    def test_chain_is_not_quadratic(self):
+        # A chain needs one signature round per level; the worklist does not.
+        n = 5000
+        g = Apg(tuple(fs([u + 1]) if u + 1 < n else fs() for u in range(n)), 0)
+        start = time.perf_counter()
+        p = counting_partition(g)
+        assert time.perf_counter() - start < 2.0
+        assert p.is_discrete
 
 
 class TestFinslerPartition:

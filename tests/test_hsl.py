@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,10 @@ from hypersets.errors import (
     AtomOutsideBoffa,
     DuplicateDefinition,
     HslSyntaxError,
+    SizeLimitExceeded,
     UndefinedName,
 )
+from hypersets import hsl
 from hypersets.hsl import flatten, flatten_into, parse, unparse
 from hypersets.random_graphs import random_apg
 
@@ -72,6 +75,15 @@ class TestFlatten:
             g = flatten(parse(f"n = {k};"))["n"]
             assert is_well_founded(g)
             assert is_rigid(g)
+
+    def test_edge_budget_counts_the_whole_program(self, monkeypatch):
+        # numeral 3 has 6 edges, the set {a} 1
+        monkeypatch.setattr(hsl, "FLATTEN_EDGE_BUDGET", 12)
+        assert flatten(parse("a = 3; b = 3;"))["b"].edge_count == 6
+        with pytest.raises(SizeLimitExceeded):
+            flatten(parse("a = 3; b = {a}; c = 3;"))
+        with pytest.raises(SizeLimitExceeded):
+            flatten_into(parse("a = 3; b = 4;"), Universe())
 
     def test_undefined_name(self):
         with pytest.raises(UndefinedName):
@@ -140,6 +152,13 @@ class TestUnparse:
     def test_numeral_sugar(self):
         g = flatten(parse("n = 2;"))["n"]
         assert unparse(g) == "x0 = 2;\n"
+
+    def test_large_numeral_sugar_in_time(self):
+        # the numerals inside a sugared numeral are not examined again
+        g = flatten(parse("n = 1000;"))["n"]
+        start = time.perf_counter()
+        assert unparse(g) == "x0 = 1000;\n"
+        assert time.perf_counter() - start < 1.0
 
     def test_pair_sugar_round_trips(self):
         g = flatten(parse("p = <a,b>; a = {}; b = {{}};"))["p"]
