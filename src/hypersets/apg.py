@@ -8,7 +8,6 @@ child collections are sets (no parallel edges).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
@@ -33,9 +32,9 @@ class Apg:
             for v in kids:
                 if not (0 <= v < n):
                     raise ValueError(f"edge {u}->{v} leaves node range 0..{n - 1}")
-        seen = _reachable(self.children, self.root)
+        seen = _bfs(self.root, self.children)
         if len(seen) != n:
-            missing = sorted(set(range(n)) - seen)
+            missing = sorted(set(range(n)) - set(seen))
             raise ValueError(f"nodes {missing} unreachable from root {self.root}")
         for u in self.labels:
             if not (0 <= u < n):
@@ -121,16 +120,47 @@ class Partition:
         return self.class_of[u] == self.class_of[v]
 
 
-def _reachable(children, root) -> set[int]:
+def _bfs(root, children) -> list:
+    """Every node reachable from root, once each, in breadth-first
+    discovery order; children are visited in the order ``children[u]``
+    lists them."""
+    order = [root]
     seen = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
+    for u in order:
         for v in children[u]:
             if v not in seen:
                 seen.add(v)
-                stack.append(v)
-    return seen
+                order.append(v)
+    return order
+
+
+def _postorder(starts, children) -> list:
+    """Every node reachable from ``starts``, once each, in depth-first
+    post-order: a node comes after every node first reached through it.
+    Children are visited in the order ``children[u]`` lists them, on an
+    explicit stack, so depth is not bounded by Python's recursion limit.
+
+    An edge u -> v closes a cycle iff v comes at or after u: v is then
+    still open, an ancestor of u or u itself (Tarjan, SIAM J. Comput. 1972).
+    """
+    out = []
+    seen = set()
+    for s in starts:
+        if s in seen:
+            continue
+        seen.add(s)
+        stack = [(s, iter(children[s]))]
+        while stack:
+            u, it = stack[-1]
+            for v in it:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append((v, iter(children[v])))
+                    break
+            else:
+                out.append(u)
+                stack.pop()
+    return out
 
 
 def trim_to_accessible(
@@ -149,16 +179,13 @@ def trim_to_accessible(
         raise ValueError(f"root {root!r} is not a node")
     trans: dict = {root: 0}
     order = [root]
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
+    for u in order:
         for v in children[u]:
             if v not in children:
                 raise ValueError(f"edge {u!r}->{v!r} points outside the graph")
             if v not in trans:
                 trans[v] = len(trans)
                 order.append(v)
-                queue.append(v)
     new_children = tuple(
         frozenset(trans[v] for v in children[u]) for u in order
     )
@@ -172,55 +199,23 @@ def trim_to_accessible(
 
 def is_well_founded(g: Apg) -> bool:
     """True iff no node lies on or reaches a cycle of the child relation."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * g.node_count
-    for start in range(g.node_count):
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[int, Iterable[int]]] = [(start, iter(g.children[start]))]
-        color[start] = GRAY
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if color[v] == GRAY:
-                    return False
-                if color[v] == WHITE:
-                    color[v] = GRAY
-                    stack.append((v, iter(g.children[v])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[u] = BLACK
-                stack.pop()
+    try:
+        rank_map(g)
+    except NotWellFounded:
+        return False
     return True
 
 
 def rank_map(g: Apg) -> dict[int, int]:
     """Von Neumann rank per node: 0 for childless, else 1 + max child rank."""
     rank: dict[int, int] = {}
-    state = [0] * g.node_count  # 0 unvisited, 1 on stack, 2 done
-    for start in range(g.node_count):
-        if state[start] == 2:
-            continue
-        stack: list[tuple[int, Iterable[int]]] = [(start, iter(g.children[start]))]
-        state[start] = 1
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if state[v] == 1:
-                    raise NotWellFounded(f"cycle through node {v}")
-                if state[v] == 0:
-                    state[v] = 1
-                    stack.append((v, iter(g.children[v])))
-                    advanced = True
-                    break
-            if not advanced:
-                kids = g.children[u]
-                rank[u] = 1 + max(rank[v] for v in kids) if kids else 0
-                state[u] = 2
-                stack.pop()
+    for u in _postorder(range(g.node_count), g.children):
+        r = 0
+        for v in g.children[u]:
+            if v not in rank:  # v comes at or after u: u -> v closes a cycle
+                raise NotWellFounded(f"cycle through node {u}")
+            r = max(r, rank[v] + 1)
+        rank[u] = r
     return rank
 
 
@@ -266,22 +261,12 @@ def quotient(g: Apg, p: Partition) -> tuple[Apg, tuple[int, ...]]:
         for v in kids:
             class_children[c].add(p.class_of[v])
 
-    root_class = p.class_of[g.root]
-    new_id: dict[int, int] = {root_class: 0}
-    order = [root_class]
-    queue = deque([root_class])
-    while queue:
-        c = queue.popleft()
-        for d in sorted(class_children[c], key=lambda x: class_min[x]):
-            if d not in new_id:
-                new_id[d] = len(new_id)
-                order.append(d)
-                queue.append(d)
-
-    children = tuple(
-        frozenset(new_id[d] for d in class_children[c] if d in new_id)
-        for c in order
+    order = _bfs(
+        p.class_of[g.root],
+        [sorted(kids, key=class_min.__getitem__) for kids in class_children],
     )
+    new_id = {c: i for i, c in enumerate(order)}
+    children = tuple(frozenset(new_id[d] for d in class_children[c]) for c in order)
     quot = Apg(children, 0)
     projection = tuple(new_id[p.class_of[u]] for u in range(g.node_count))
     return quot, projection

@@ -17,10 +17,9 @@ fresh ids.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Hashable, Iterable, Mapping, Optional
 
-from .apg import Apg, trim_to_accessible
+from .apg import Apg, _bfs, _postorder, trim_to_accessible
 from .errors import NotEndExtension, NotExtensional
 
 
@@ -213,15 +212,7 @@ class Universe:
     # -- views ---------------------------------------------------------------
 
     def _transitive_closure(self, x: int) -> set[int]:
-        out = {x}
-        queue = deque((x,))
-        while queue:
-            i = queue.popleft()
-            for c in self.sets[i]:
-                if c not in out:
-                    out.add(c)
-                    queue.append(c)
-        return out
+        return set(_bfs(x, self.sets))
 
     def picture_of(self, x: int) -> Apg:
         """The canonical picture of x: its transitive closure rooted at x."""
@@ -285,47 +276,16 @@ def _stable_key(k) -> tuple:
 def _reaches_cycle(keys: list, children: Mapping, resolved: set) -> set:
     """Subset of keys lying on or reaching a cycle, treating ``resolved``
     nodes as leaves."""
-    on_cycle: set = set()
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict = {k: WHITE for k in keys}
-    for start in keys:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(children[start]))]
-        color[start] = GRAY
-        while stack:
-            k, it = stack[-1]
-            advanced = False
-            for c in it:
-                if c in resolved:
-                    continue
-                if color[c] == GRAY:
-                    on_cycle.add(c)
-                    continue
-                if color[c] == WHITE:
-                    color[c] = GRAY
-                    stack.append((c, iter(children[c])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[k] = BLACK
-                stack.pop()
-
-    # Everything that reaches a cycle node is ill-founded too.
-    parents: dict = {k: [] for k in keys}
-    for k in keys:
-        for c in children[k]:
-            if c in parents:
-                parents[c].append(k)
-    out = set(on_cycle)
-    queue = deque(on_cycle)
-    while queue:
-        k = queue.popleft()
-        for p in parents[k]:
-            if p not in out:
-                out.add(p)
-                queue.append(p)
-    return out
+    open_kids = {k: [c for c in children[k] if c not in resolved] for k in keys}
+    post = _postorder(keys, open_kids)
+    pos = {k: i for i, k in enumerate(post)}
+    ill: set = set()
+    for i, k in enumerate(post):
+        # A child at or after k was still open when k closed, so k lies on
+        # a cycle; a child before k has already been classified.
+        if any(pos[c] >= i or c in ill for c in open_kids[k]):
+            ill.add(k)
+    return ill
 
 
 def _topo_order(keys: list, children: Mapping, ill: set) -> list:
@@ -334,27 +294,9 @@ def _topo_order(keys: list, children: Mapping, ill: set) -> list:
     ``_stable_key`` order, so the order does not depend on string hashing."""
     wf = [k for k in keys if k not in ill]
     wf_set = set(wf)
-    out: list = []
-    state: dict = {k: 0 for k in wf}
-    for start in wf:
-        if state[start]:
-            continue
-        stack = [(start, iter(sorted(children[start], key=_stable_key)))]
-        state[start] = 1
-        while stack:
-            k, it = stack[-1]
-            advanced = False
-            for c in it:
-                if c in wf_set and state[c] == 0:
-                    state[c] = 1
-                    stack.append((c, iter(sorted(children[c], key=_stable_key))))
-                    advanced = True
-                    break
-            if not advanced:
-                out.append(k)
-                state[k] = 2
-                stack.pop()
-    return out
+    return _postorder(wf, {
+        k: sorted((c for c in children[k] if c in wf_set), key=_stable_key) for k in wf
+    })
 
 
 def _check_partial_iso(u: Universe, f: Mapping[int, int]) -> None:

@@ -12,7 +12,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from .apg import DEFAULT_ISO_CAP
 from .boffa import Universe
@@ -62,26 +61,6 @@ EXIT_NO_WITNESS = 11
 MODES = ("afa", "safa", "fafa", "boffa")
 
 
-@dataclass
-class Config:
-    mode: str = "afa"
-    iso_cap: int = DEFAULT_ISO_CAP
-    seed: int = 0
-    output: str = "text"  # text | json | dot
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"invalid mode {self.mode!r}")
-        if self.iso_cap <= 0:
-            raise ValueError("size caps must be positive")
-
-    @property
-    def semantics(self) -> Semantics:
-        if self.mode == "boffa":
-            raise ValueError("boffa mode has no canonicalizing semantics")
-        return Semantics(self.mode)
-
-
 def _int_at_least(low: int):
     """An argparse type for integers >= low; a bad value exits 2."""
 
@@ -102,7 +81,7 @@ def _read_program(path: str) -> HslProgram:
     return parse(text)
 
 
-def _solve_names(program: HslProgram, cfg: Config, names=None, pictures=True):
+def _solve_names(program: HslProgram, mode: str, cap: int, names=None, pictures=True):
     """Canonical picture and equality class id of each name in ``names``
     (every name of the program by default), as two dicts in name order;
     without ``pictures`` the first dict is empty.
@@ -111,7 +90,7 @@ def _solve_names(program: HslProgram, cfg: Config, names=None, pictures=True):
     the pictures, or, without pictures, canonicalize the graphs jointly;
     Boffa mode inserts into a fresh universe, whose set ids are the classes.
     """
-    if cfg.mode == "boffa":
+    if mode == "boffa":
         u = Universe()
         ids = flatten_into(program, u)
         if names is None:
@@ -122,7 +101,7 @@ def _solve_names(program: HslProgram, cfg: Config, names=None, pictures=True):
         pics = {name: u.picture_of(ids[name]) for name in names} if pictures else {}
         return pics, {name: ids[name] for name in names}
     graphs = flatten(program, names)
-    s, cap = cfg.semantics, cfg.iso_cap
+    s = Semantics(mode)
     if not pictures:
         return {}, dict(zip(graphs, equality_classes(list(graphs.values()), s, cap=cap)))
     pics = {name: canonicalize(g, s, cap=cap).canonical for name, g in graphs.items()}
@@ -130,9 +109,7 @@ def _solve_names(program: HslProgram, cfg: Config, names=None, pictures=True):
 
 
 def cmd_solve(args) -> int:
-    cfg = Config(mode=args.mode, iso_cap=args.cap, output="json" if args.json else "text")
-    program = _read_program(args.file)
-    pics, classes = _solve_names(program, cfg)
+    pics, classes = _solve_names(_read_program(args.file), args.mode, args.cap)
     names = list(pics)
 
     pairs = []
@@ -145,9 +122,9 @@ def cmd_solve(args) -> int:
             for name in names:
                 fh.write(to_dot(pics[name], name=name))
 
-    if cfg.output == "json":
+    if args.json:
         doc = {
-            "mode": cfg.mode,
+            "mode": args.mode,
             "sets": {name: unparse(pics[name]) for name in names},
             "pairs": [{"a": a, "b": b, "equal": e} for a, b, e in pairs],
         }
@@ -166,18 +143,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_eq(args) -> int:
-    cfg = Config(mode=args.mode, iso_cap=args.cap)
     names = (args.name1, args.name2)
-    _, classes = _solve_names(_read_program(args.file), cfg, names, pictures=False)
+    program = _read_program(args.file)
+    _, classes = _solve_names(program, args.mode, args.cap, names, pictures=False)
     verdict = classes[args.name1] == classes[args.name2]
     print("equal" if verdict else "unequal")
     return EXIT_OK if verdict else EXIT_UNEQUAL
 
 
 def cmd_aut(args) -> int:
-    cfg = Config(mode=args.mode, iso_cap=args.cap)
-    pics, _ = _solve_names(_read_program(args.file), cfg, (args.name,))
-    group = automorphisms(pics[args.name], cap=cfg.iso_cap)
+    pics, _ = _solve_names(_read_program(args.file), args.mode, args.cap, (args.name,))
+    group = automorphisms(pics[args.name], cap=args.cap)
     if args.json:
         print(json.dumps(
             {"name": args.name, "order": group.order,
@@ -257,10 +233,23 @@ def _load_group(args) -> GroupTable:
     if args.preset:
         return preset_group(args.preset)
     with open(args.table, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("order") != len(data["table"]):
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("table file nests too deeply") from None
+    rows = data.get("table") if isinstance(data, dict) else None
+    if not (
+        isinstance(rows, list)
+        and all(isinstance(r, list) and len(r) == len(rows) for r in rows)
+        and all(type(x) is int for r in rows for x in r)
+    ):
+        raise ValueError('table file must hold {"order": n, "table": n rows of n integers}')
+    if data.get("order") != len(rows):
         raise ValueError("order field does not match table size")
-    return GroupTable.from_rows(data["table"])
+    # GroupTable checks associativity in O(n^3), so the cap comes first.
+    if len(rows) > args.group_cap:
+        raise GroupTooLarge(f"group order {len(rows)} exceeds cap {args.group_cap}")
+    return GroupTable.from_rows(rows)
 
 
 def cmd_group(args) -> int:
@@ -291,14 +280,13 @@ def cmd_group(args) -> int:
 def cmd_search_separation(args) -> int:
     if args.mode_a == args.mode_b:
         raise ValueError("modes must differ")
-    cfg_a = Config(mode=args.mode_a, iso_cap=args.cap)
-    cfg_b = Config(mode=args.mode_b, iso_cap=args.cap)
+    sem_a, sem_b = Semantics(args.mode_a), Semantics(args.mode_b)
     rng = random.Random(args.seed)
     for trial in range(args.budget):
         g1 = random_apg(rng, args.max_nodes)
         g2 = random_apg(rng, args.max_nodes)
-        ea = equal(g1, g2, cfg_a.semantics, cap=cfg_a.iso_cap)
-        eb = equal(g1, g2, cfg_b.semantics, cap=cfg_b.iso_cap)
+        ea = equal(g1, g2, sem_a, cap=args.cap)
+        eb = equal(g1, g2, sem_b, cap=args.cap)
         if ea != eb:
             print(f"# witness at trial {trial}: "
                   f"{args.mode_a} says {ea}, {args.mode_b} says {eb}")
@@ -309,20 +297,6 @@ def cmd_search_separation(args) -> int:
             return EXIT_OK
     print(f"no witness within budget {args.budget}")
     return EXIT_NO_WITNESS
-
-
-def _term_text(term) -> str:
-    from .hsl import NameRef, NatTerm, SetTerm, TupleTerm
-
-    if isinstance(term, NameRef):
-        return term.name
-    if isinstance(term, NatTerm):
-        return str(term.value)
-    if isinstance(term, SetTerm):
-        return "{" + ", ".join(_term_text(t) for t in term.elems) + "}"
-    if isinstance(term, TupleTerm):
-        return "<" + ", ".join(_term_text(t) for t in term.elems) + ">"
-    raise TypeError(f"unknown term {term!r}")
 
 
 # REPL directives and their usage lines; the operand count is checked first.
@@ -338,23 +312,13 @@ REPL_USAGE = {
 
 
 def cmd_repl(args) -> int:
-    from .hsl import AtomDecl
-
-    cfg = Config(mode=args.mode, iso_cap=args.cap)
+    mode, cap = args.mode, args.cap
     statements: dict[str, object] = {}  # name -> statement; later lines replace
     out = sys.stdout
 
-    def program_text() -> str:
-        chunks = []
-        for stmt in statements.values():
-            if isinstance(stmt, AtomDecl):
-                chunks.append(f"atom {stmt.name};")
-            else:
-                chunks.append(f"{stmt.name} = {_term_text(stmt.term)};")
-        return "\n".join(chunks)
-
     def solve(names, pictures=True):
-        return _solve_names(parse(program_text()), cfg, names, pictures)
+        program = HslProgram(tuple(statements.values()))
+        return _solve_names(program, mode, cap, names, pictures)
 
     for raw in sys.stdin:
         line = raw.strip()
@@ -374,7 +338,9 @@ def cmd_repl(args) -> int:
             elif directive == ":quit":
                 break
             elif directive == ":mode":
-                cfg = Config(mode=operands[0], iso_cap=cfg.iso_cap)
+                if operands[0] not in MODES:
+                    raise ValueError(f"invalid mode {operands[0]!r}")
+                mode = operands[0]
                 out.write(f"mode {operands[0]}\n")
             elif directive == ":eq":
                 a, b = operands
@@ -386,9 +352,9 @@ def cmd_repl(args) -> int:
                 if directive == ":canon":
                     out.write(unparse(pic))
                 elif directive == ":aut":
-                    out.write(f"order {automorphisms(pic, cap=cfg.iso_cap).order}\n")
+                    out.write(f"order {automorphisms(pic, cap=cap).order}\n")
                 elif directive == ":rigid":
-                    out.write(("rigid" if is_rigid(pic, cap=cfg.iso_cap) else "not rigid") + "\n")
+                    out.write(("rigid" if is_rigid(pic, cap=cap) else "not rigid") + "\n")
                 else:
                     with open(operands[1], "w", encoding="utf-8") as fh:
                         fh.write(to_dot(pic, name=name))

@@ -63,9 +63,12 @@ class GroupTable:
         rows = tuple(tuple(r) for r in rows)
         n = len(rows)
         identity = next(
-            i for i in range(n)
-            if all(rows[i][j] == j and rows[j][i] == j for j in range(n))
+            (i for i in range(n)
+             if all(rows[i][j] == j and rows[j][i] == j for j in range(n))),
+            None,
         )
+        if identity is None:
+            raise ValueError("table has no identity element")
         return cls(n, rows, identity)
 
     def mul(self, a: int, b: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .apg import Apg, _parent_sets, trim_to_accessible
+from .apg import Apg, _bfs, _parent_sets, _postorder, trim_to_accessible
 from .boffa import Universe
 from .errors import (
     AtomOutsideBoffa,
@@ -422,7 +422,7 @@ def unparse(g: Apg) -> str:
     re-flattening yields an isomorphic graph.  Numerals win over pairs.
     """
     n = g.node_count
-    order = _bfs_order(g)
+    order = _bfs(g.root, [sorted(kids) for kids in g.children])
     pos = {u: i for i, u in enumerate(order)}
     parents = _parent_sets(g.children)
 
@@ -479,22 +479,6 @@ def unparse(g: Apg) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bfs_order(g: Apg) -> list[int]:
-    from collections import deque
-
-    order = [g.root]
-    seen = {g.root}
-    queue = deque((g.root,))
-    while queue:
-        u = queue.popleft()
-        for v in sorted(g.children[u]):
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-                queue.append(v)
-    return order
-
-
 def _reach(g: Apg, u: int, limit: int) -> Optional[set[int]]:
     """The nodes reachable from u, u included, or None once there are more
     than ``limit`` of them."""
@@ -513,30 +497,10 @@ def _reach(g: Apg, u: int, limit: int) -> Optional[set[int]]:
 def _numeral_values(g: Apg) -> list[Optional[int]]:
     """num_val[u] = k iff u's children carry values 0..k-1, one each."""
     vals: list[Optional[int]] = [None] * g.node_count
-    state = [0] * g.node_count
-    for start in range(g.node_count):
-        if state[start] == 2:
-            continue
-        stack = [(start, iter(g.children[start]))]
-        state[start] = 1
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if state[v] == 0:
-                    state[v] = 1
-                    stack.append((v, iter(g.children[v])))
-                    advanced = True
-                    break
-            if advanced:
-                continue
-            kid_vals = [vals[v] for v in g.children[u]]
-            if all(x is not None for x in kid_vals) and sorted(kid_vals) == list(
-                range(len(kid_vals))
-            ):
-                vals[u] = len(kid_vals)
-            state[u] = 2
-            stack.pop()
+    for u in _postorder(range(g.node_count), g.children):
+        kid_vals = [vals[v] for v in g.children[u]]
+        if None not in kid_vals and sorted(kid_vals) == list(range(len(kid_vals))):
+            vals[u] = len(kid_vals)
     return vals
 
 

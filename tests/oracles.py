@@ -290,3 +290,43 @@ def check_membership_iso(u, f: dict[int, int]) -> None:
             assert (k in u.members(i)) == (f[k] in u.members(f[i])), (
                 f"membership not preserved for {k} in {i}"
             )
+
+
+# --- cycles and rank -----------------------------------------------------------
+
+def reaches_cycle(children, resolved=frozenset()) -> set:
+    """The nodes u, outside ``resolved``, that reach (by zero or more edges)
+    some v that reaches itself by one or more edges.  ``resolved`` nodes are
+    leaves: their own edges are ignored, so they lie on no cycle."""
+
+    def reach_plus(u) -> set:
+        out: set = set()
+        todo = [u]
+        while todo:
+            w = todo.pop()
+            if w in resolved:
+                continue
+            for c in children[w]:
+                if c not in out:
+                    out.add(c)
+                    todo.append(c)
+        return out
+
+    plus = {u: reach_plus(u) for u in children if u not in resolved}
+    on_cycle = {v for v, r in plus.items() if v in r}
+    return {u for u, r in plus.items() if u in on_cycle or r & on_cycle}
+
+
+def naive_rank(g: Apg):
+    """Von Neumann rank by fixpoint: rank each node once all its children
+    are ranked, until nothing changes.  None when some node is never ranked,
+    that is, when g is not well-founded."""
+    rank: dict[int, int] = {}
+    changed = True
+    while changed:
+        changed = False
+        for u in range(g.node_count):
+            if u not in rank and all(v in rank for v in g.children[u]):
+                rank[u] = max((rank[v] + 1 for v in g.children[u]), default=0)
+                changed = True
+    return rank if len(rank) == g.node_count else None

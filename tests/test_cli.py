@@ -310,6 +310,30 @@ class TestGroup:
         path.write_text(json.dumps({"order": 9, "table": table}))
         assert main(["group", "--table", str(path)]) == EXIT_CAP
 
+    @pytest.mark.parametrize("text", [
+        pytest.param(json.dumps({"order": 2}), id="no-table"),
+        pytest.param(json.dumps([[0, 1], [1, 0]]), id="top-level-list"),
+        pytest.param(json.dumps({"order": 2, "table": [[0], [1, 0]]}), id="ragged"),
+        pytest.param(json.dumps({"order": 0, "table": []}), id="empty"),
+        pytest.param(json.dumps({"order": 2, "table": [["0", "1"], ["1", "0"]]}), id="strings"),
+        pytest.param(json.dumps({"order": 2, "table": [[0, 1], [1, "x"]]}), id="one-string"),
+        pytest.param(json.dumps({"order": 1, "table": [[0.0]]}), id="float"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
+    ])
+    def test_malformed_table_exits_two(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["group", "--table", str(path)]) == EXIT_SEMANTIC
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_group_cap_checked_before_table(self, tmp_path):
+        path = tmp_path / "z400.json"
+        table = [[(i + j) % 400 for j in range(400)] for i in range(400)]
+        path.write_text(json.dumps({"order": 400, "table": table}))
+        start = time.perf_counter()
+        assert main(["group", "--table", str(path)]) == EXIT_CAP
+        assert time.perf_counter() - start < 1.0
+
 
 class TestSearchSeparation:
     def test_finds_afa_safa_witness(self, capsys):
