@@ -42,8 +42,8 @@ class GroupTable:
             raise ValueError("table must be order x order")
         for row in self.table:
             for x in row:
-                if not (0 <= x < n):
-                    raise ValueError("table entry out of range (closure fails)")
+                if type(x) is not int or not (0 <= x < n):
+                    raise ValueError(f"table entry {x!r} is not an element 0..{n - 1}")
         e = self.identity
         if any(self.table[e][i] != i or self.table[i][e] != i for i in range(n)):
             raise ValueError("identity law fails")
@@ -60,8 +60,10 @@ class GroupTable:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "GroupTable":
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(tuple(r) if isinstance(r, Sequence) else None for r in rows)
         n = len(rows)
+        if any(r is None or len(r) != n for r in rows):
+            raise ValueError("table must be n rows of n entries")
         identity = next(
             (i for i in range(n)
              if all(rows[i][j] == j and rows[j][i] == j for j in range(n))),

@@ -16,6 +16,7 @@ a proper membership embedding when sigma lands in a larger atom pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .apg import DEFAULT_ISO_CAP, _reduce_generators, _stable_colors, isomorphisms
@@ -55,7 +56,7 @@ class LevelledUniverse:
 
         return go(code)
 
-    @property
+    @cached_property
     def _atom_set(self) -> frozenset[int]:
         return frozenset(self.atoms)
 
@@ -155,8 +156,10 @@ class MapReport:
 def classify_map(u: LevelledUniverse, m: ExtendedMap) -> MapReport:
     """Automorphism-or-embedding verdict plus a full verification report.
 
-    Membership preservation x in y <=> m(x) in m(y) is checked over all
-    pairs of top-level elements, not sampled.
+    Membership preservation x in y <=> m(x) in m(y) is checked for all
+    pairs of top-level elements, not sampled: for each y, the top-level
+    members of y must be exactly the top-level preimages of the members of
+    m(y), which costs one pass over the members instead of one per pair.
     """
     top = u.top
     target = m.target
@@ -164,16 +167,15 @@ def classify_map(u: LevelledUniverse, m: ExtendedMap) -> MapReport:
     injective = len(set(image)) == len(top)
     surjective = set(image) == set(target.top)
 
-    membership_exact = True
-    tmembers = target.members
-    for y in top:
-        my = m.full_map[y]
-        for x in top:
-            if (x in u.members[y]) != (m.full_map[x] in tmembers[my]):
-                membership_exact = False
-                break
-        if not membership_exact:
-            break
+    top_set = set(top)
+    preimages: dict[int, list[int]] = {}
+    for x, mx in zip(top, image):
+        preimages.setdefault(mx, []).append(x)
+    membership_exact = all(
+        u.members[y] & top_set
+        == {x for w in target.members[my] for x in preimages.get(w, ())}
+        for y, my in zip(top, image)
+    )
 
     pure_fixed = all(
         u.hereditary_value(x) == target.hereditary_value(m.full_map[x])
@@ -205,7 +207,8 @@ class StructureAutomorphisms:
 def all_automorphisms(
     u: LevelledUniverse, cap: int = DEFAULT_ISO_CAP
 ) -> StructureAutomorphisms:
-    """Exhaustively enumerate the membership automorphisms of the top level.
+    """Exhaustively enumerate the membership automorphisms of the top level,
+    in order of the codes of their images (element by element of the top).
 
     This searches the bare digraph of the membership relation and does not
     assume anything about atom maps, so it can serve as the independent
@@ -218,9 +221,13 @@ def all_automorphisms(
     index = {c: i for i, c in enumerate(top)}
     children = [frozenset(index[m] for m in u.members[c]) for c in top]
     colors = _stable_colors(children, [0] * n)
-    found = list(isomorphisms(children, colors, children, colors))
-    # Generators are picked in order of the images' codes.
-    gens = _reduce_generators(sorted(found, key=lambda p: [top[w] for w in p]), n)
+    # Elements, and so the generators picked from them, in order of the
+    # images' codes.
+    found = sorted(
+        isomorphisms(children, colors, children, colors),
+        key=lambda p: [top[w] for w in p],
+    )
+    gens = _reduce_generators(found, n)
 
     def as_map(p: tuple[int, ...]) -> dict[int, int]:
         return {top[i]: top[w] for i, w in enumerate(p)}

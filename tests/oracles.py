@@ -330,3 +330,48 @@ def naive_rank(g: Apg):
                 rank[u] = max((rank[v] + 1 for v in g.children[u]), default=0)
                 changed = True
     return rank if len(rank) == g.node_count else None
+
+
+# --- structure maps and groups ------------------------------------------------
+
+def pairwise_membership_exact(u, m) -> bool:
+    """x in y <=> m(x) in m(y) for every pair of top-level elements of the
+    levelled universe u, one pair at a time."""
+    tmembers = m.target.members
+    for y in u.top:
+        my = m.full_map[y]
+        for x in u.top:
+            if (x in u.members[y]) != (m.full_map[x] in tmembers[my]):
+                return False
+    return True
+
+
+def _quaternion_product(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def _table(elements, product) -> list[list[int]]:
+    index = {x: i for i, x in enumerate(elements)}
+    return [[index[product(x, y)] for y in elements] for x in elements]
+
+
+def order_eight_groups() -> dict[str, list[list[int]]]:
+    """Multiplication tables of the five groups of order 8, up to
+    isomorphism, each written out from its own arithmetic."""
+    pairs = [(a, b) for a in range(4) for b in range(2)]
+    units = [tuple(s if k == i else 0 for k in range(4)) for i in range(4) for s in (1, -1)]
+    return {
+        "z8": _table(range(8), lambda x, y: (x + y) % 8),
+        "z4xz2": _table(pairs, lambda x, y: ((x[0] + y[0]) % 4, (x[1] + y[1]) % 2)),
+        "z2^3": _table(range(8), lambda x, y: x ^ y),
+        # r^i s^j: s r s = r^-1
+        "d4": _table(pairs, lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4, x[1] ^ y[1])),
+        "q8": _table(units, _quaternion_product),
+    }

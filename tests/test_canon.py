@@ -1,10 +1,11 @@
+import math
 import random
 import sys
 import time
 
 import pytest
 
-from hypersets.apg import Apg, DEFAULT_ISO_CAP, pointed_isomorphic
+from hypersets.apg import Apg, DEFAULT_ISO_CAP, pointed_isomorphic, trim_to_accessible
 from hypersets.canon import (
     Semantics,
     automorphisms,
@@ -266,6 +267,31 @@ class TestAutomorphisms:
                 tuple(fs(children.get(u, [])) for u in range(n + chain)), g.root
             )
             assert automorphisms(big).order == brute_force_automorphism_count(g)
+
+    def test_copies_under_a_root_give_the_wreath_order(self):
+        # c copies of H under one root: Aut is Aut(H) wr S_c, of order
+        # c! |Aut(H)|^c, with |Aut(H)| counted by brute force.  Half the
+        # H have twin nodes, since random_apg is nearly always rigid.
+        rng = random.Random(72)
+        for _ in range(400):
+            if rng.random() < 0.5:
+                h = random_apg(rng, 6)
+            else:
+                n = rng.randint(2, 6)
+                patterns = [rng.sample(range(n), rng.choice((0, 1, 1, 2))) for _ in range(2)]
+                children = {u: rng.choice(patterns) for u in range(1, n)}
+                children[0] = rng.sample(range(1, n), rng.randint(1, n - 1))
+                h, _ = trim_to_accessible(children, 0)
+            aut_h = len(brute_force_automorphisms(h))
+            c = rng.randint(1, 3)
+            while c > 1 and math.factorial(c) * aut_h ** c > 5000:
+                c -= 1  # the group is listed element by element
+            k = h.node_count
+            kids = [fs(1 + i * k + h.root for i in range(c))]
+            for i in range(c):
+                kids += [fs(1 + i * k + v for v in vs) for vs in h.children]
+            g = Apg(tuple(kids), 0)
+            assert automorphisms(g).order == math.factorial(c) * aut_h ** c, h.children
 
     def test_is_rigid_consistent_with_order(self):
         rng = random.Random(63)

@@ -21,6 +21,8 @@ from hypersets.cli import (
 )
 from hypersets.hsl import flatten, parse
 
+from oracles import order_eight_groups
+
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 
 
@@ -303,6 +305,19 @@ class TestGroup:
         code, out = run(capsys, "group", "--table", str(path))
         assert code == EXIT_OK
         assert "automorphism count 2" in out
+
+    def test_table_file_order_eight(self, tmp_path):
+        path = tmp_path / "q8.json"
+        path.write_text(json.dumps({"order": 8, "table": order_eight_groups()["q8"]}))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "hypersets.cli", "group", "--table", str(path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "automorphism count 8" in done.stdout
 
     def test_group_cap(self, capsys, tmp_path):
         path = tmp_path / "z9.json"

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from hypersets.boffa import Universe
@@ -16,6 +18,7 @@ from hypersets.grouplab import (
     preset_group,
     symmetric_group_3,
 )
+from oracles import order_eight_groups
 
 
 def vn_pair_universe():
@@ -33,6 +36,17 @@ class TestGroupTable:
         # a "subtraction-like" table fails associativity
         with pytest.raises(ValueError):
             GroupTable.from_rows([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+
+    @pytest.mark.parametrize("rows, message", [
+        pytest.param([[0], [1, 0]], "n rows of n", id="ragged"),
+        pytest.param([[0, 1], [1, "x"]], "'x' is not an element", id="string-entry"),
+        pytest.param([0, 1], "n rows of n", id="rows-not-sequences"),
+        pytest.param([[False]], "False is not an element", id="bool-entry"),
+        pytest.param([[0, 1], [1, 2]], "2 is not an element", id="out-of-range"),
+    ])
+    def test_from_rows_rejects_malformed_rows(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            GroupTable.from_rows(rows)
 
     def test_element_orders(self):
         s3 = symmetric_group_3()
@@ -138,6 +152,18 @@ class TestBuildAG:
     def test_group_cap(self):
         with pytest.raises(GroupTooLarge):
             build_A_G(cyclic_group(9))
+
+    def test_all_groups_of_order_eight(self):
+        # Order 8 is the default cap; the search must stay quick there, and
+        # each group must be told apart from the other four.
+        groups = {k: GroupTable.from_rows(t) for k, t in order_eight_groups().items()}
+        start = time.perf_counter()
+        for name, group in groups.items():
+            rep = aut_group_of(build_A_G(group))
+            assert rep.automorphism_count == 8, name
+            for other, h in groups.items():
+                assert groups_isomorphic(rep.table, h) == (other == name), (name, other)
+        assert time.perf_counter() - start < 3.0
 
 
 class TestGroupsIsomorphic:

@@ -1,9 +1,19 @@
 import itertools
+import random
 
 import pytest
 
 from hypersets.errors import NotInjective, SizeLimitExceeded
-from hypersets.wflab import all_automorphisms, build_universe, classify_map, extend_map
+from hypersets.wflab import (
+    ExtendedMap,
+    LevelledUniverse,
+    all_automorphisms,
+    build_universe,
+    classify_map,
+    extend_map,
+)
+
+from oracles import pairwise_membership_exact
 
 
 class TestBuildUniverse:
@@ -110,6 +120,73 @@ class TestClassifyMap:
                 assert m.full_map[c] == c
 
 
+    @pytest.mark.parametrize("levels", [0, 1, 2])
+    def test_membership_matches_pairwise_oracle(self, levels):
+        # Every atom permutation, and every injective atom map into a
+        # universe with more atoms.
+        for a in range(4):
+            u = build_universe(a, levels)
+            for b in range(a, 4):
+                target = u if b == a else build_universe(b, levels)
+                for image in itertools.permutations(range(b), a):
+                    m = extend_map(u, dict(zip(u.atoms, image)), into=target)
+                    rep = classify_map(u, m)
+                    assert rep.membership_exact == pairwise_membership_exact(u, m)
+                    assert rep.membership_exact and rep.injective
+                    assert rep.verdict == ("automorphism" if b == a else "proper-embedding")
+
+    def test_broken_maps_match_pairwise_oracle(self):
+        # Hand-built full maps that send top-level elements anywhere in the
+        # target's top level, so membership and injectivity can both fail.
+        rng = random.Random(73)
+        seen = set()
+        for _ in range(300):
+            a = rng.randint(0, 2)
+            levels = rng.randint(1, 2)
+            u = build_universe(a, levels)
+            target = build_universe(rng.randint(a, 2), levels)
+            full = {x: rng.choice(target.top) for x in u.top}
+            m = ExtendedMap({}, full, u, target)
+            rep = classify_map(u, m)
+            assert rep.membership_exact == pairwise_membership_exact(u, m)
+            assert rep.injective == (len(set(full.values())) == len(full))
+            seen.add((rep.injective, rep.membership_exact))
+        assert {(True, False), (False, False)} <= seen
+
+    def test_non_injective_and_swapped_maps(self):
+        u = build_universe(2, 2)
+        ident = extend_map(u, {0: 0, 1: 1}).full_map
+        empty, a0 = u.intern[frozenset()], u.atoms[0]
+        for full in (
+            {**ident, empty: a0},                 # two elements onto a0
+            {**ident, empty: a0, a0: empty},      # a bijection, not an embedding
+        ):
+            m = ExtendedMap({}, full, u, u)
+            rep = classify_map(u, m)
+            assert not rep.membership_exact
+            assert rep.membership_exact == pairwise_membership_exact(u, m)
+            assert rep.injective == (len(set(full.values())) == len(full))
+
+
+    def test_hand_built_universe_non_injective_yet_exact(self):
+        # Two empty sets e1, e2 in one level, and y = {z, e1, e2} with z
+        # below the top: x in y <=> m(x) in m(y) holds for all top-level
+        # pairs although m sends e1 and e2 to one set.
+        u = LevelledUniverse(
+            atoms=(),
+            levels=[[0], [1, 2, 3]],
+            members={0: frozenset(), 1: frozenset(), 2: frozenset(), 3: frozenset({0, 1, 2})},
+            intern={},
+            first_level={0: 0, 1: 1, 2: 1, 3: 1},
+        )
+        target = build_universe(0, 2)
+        empty = target.intern[frozenset()]
+        m = ExtendedMap({}, {1: empty, 2: empty, 3: target.intern[frozenset({empty})]}, u, target)
+        rep = classify_map(u, m)
+        assert pairwise_membership_exact(u, m)
+        assert rep.membership_exact and not rep.injective
+
+
 class TestAllAutomorphisms:
     def test_counts_are_factorials(self):
         for n in (1, 2, 3):
@@ -128,6 +205,12 @@ class TestAllAutomorphisms:
             for x in u.top:
                 for y in u.top:
                     assert (x in u.members[y]) == (perm[x] in u.members[perm[y]])
+
+    def test_elements_in_order_of_image_codes(self):
+        for n in (2, 3):
+            u = build_universe(n, 2)
+            keys = [[perm[c] for c in u.top] for perm in all_automorphisms(u).elements]
+            assert keys == sorted(keys)
 
     def test_cap(self):
         u = build_universe(3, 2)
