@@ -254,23 +254,32 @@ def quotient(g: Apg, p: Partition) -> tuple[Apg, tuple[int, ...]]:
     """
     if len(p.class_of) != g.node_count:
         raise ValueError("partition size does not match graph")
-    class_children: list[set[int]] = [set() for _ in range(p.class_count)]
-    class_min: list[int] = [g.node_count] * p.class_count
-    for u, kids in enumerate(g.children):
-        c = p.class_of[u]
-        class_min[c] = min(class_min[c], u)
-        for v in kids:
-            class_children[c].add(p.class_of[v])
+    children, projection = _quotient(g.children, g.root, p.class_of, p.class_count)
+    return Apg(children, 0), projection
+
+
+def _quotient(children, root, block_of, block_count):
+    """``quotient`` on bare child sets, for block ids 0..block_count-1 in
+    any order: the quotient's child sets (its root is 0) and the projection
+    of each node onto its block's new id.  Nothing is validated."""
+    n = len(children)
+    block_children: list[set[int]] = [set() for _ in range(block_count)]
+    block_min = [n] * block_count
+    for u, kids in enumerate(children):
+        b = block_of[u]
+        if block_min[b] == n:  # u ascends, so its first member is its smallest
+            block_min[b] = u
+        block_children[b].update([block_of[v] for v in kids])
 
     order = _bfs(
-        p.class_of[g.root],
-        [sorted(kids, key=class_min.__getitem__) for kids in class_children],
+        block_of[root],
+        [sorted(kids, key=block_min.__getitem__) for kids in block_children],
     )
-    new_id = {c: i for i, c in enumerate(order)}
-    children = tuple(frozenset(new_id[d] for d in class_children[c]) for c in order)
-    quot = Apg(children, 0)
-    projection = tuple(new_id[p.class_of[u]] for u in range(g.node_count))
-    return quot, projection
+    new_id = [0] * block_count
+    for i, b in enumerate(order):
+        new_id[b] = i
+    quot = tuple(frozenset([new_id[d] for d in block_children[b]]) for b in order)
+    return quot, tuple([new_id[b] for b in block_of])
 
 
 # --- isomorphism machinery -------------------------------------------------

@@ -5,9 +5,9 @@ Canonicalization quotients a graph by its mode's node equivalence until no
 further merging is possible.  For AFA a single quotient by the maximal
 bisimulation suffices; for SAFA and FAFA each quotient can merge parallel
 edges and enable further merging, so the partition/quotient pair is
-iterated to a fixpoint (node count strictly decreases, so this
-terminates).  Boffa semantics lives in its own module: there equality is
-plain node identity.
+iterated on bare child sets until nothing more merges (node count
+strictly decreases, so this terminates).  Boffa semantics lives in its own
+module: there equality is plain node identity.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ from .apg import (
     Apg,
     DEFAULT_ISO_CAP,
     Partition,
+    _quotient,
     _reduce_generators,
+    _refine,
     _stable_colors,
     isomorphisms,
     pointed_isomorphic,
-    quotient,
 )
-from .equivalence import counting_partition, finsler_partition, max_bisimulation
+from .equivalence import _finsler_classes
 from .errors import SizeLimitExceeded
 
 
@@ -48,37 +49,56 @@ class CanonResult:
     decoration: tuple[int, ...]
 
 
-def _mode_partition(g: Apg, s: Semantics, cap: int) -> Partition:
-    if s is Semantics.AFA:
-        return max_bisimulation(g)
-    if s is Semantics.SAFA:
-        return counting_partition(g)
-    return finsler_partition(g, cap=cap)
+def _blocks(children, s: Semantics, cap: int) -> list[int]:
+    """The mode's node equivalence on bare child sets, as dense block ids."""
+    if s is Semantics.FAFA:
+        return _finsler_classes(children, cap)
+    return _refine(children, counting=s is Semantics.SAFA)
 
 
-def _settle(g: Apg, s: Semantics, cap: int) -> tuple[Apg, list[int], Partition]:
-    """Quotient g by its mode's partition until that partition is discrete
-    (AFA stops after the first partition: one bisimulation quotient leaves
-    nothing to merge).  Returns the last graph, the decoration of g's nodes
-    onto it, and its partition, whose classes are the sets pictured."""
-    decoration = list(range(g.node_count))
+def _settle(children, root: int, s: Semantics, cap: int):
+    """Quotient the graph with these child sets by its mode's partition
+    until nothing more can merge, on bare child sets throughout.
+
+    Returns the last graph's child sets and root, the decoration of the
+    input's nodes onto it, and its block ids and block count; the blocks
+    are the sets pictured.  AFA stops after the first partition: one
+    bisimulation quotient leaves nothing to merge.  SAFA stops once no node
+    has two children in one block: no edges then merge, so the quotient's
+    counting partition is discrete (a coarser one would pull back to a
+    coarser counting-stable partition of this graph).  FAFA stops only at a
+    discrete partition, since its quotient can merge nodes without merging
+    edges: r -> {a, c}, with a on a 2-cycle and c on a 4-cycle, merges the
+    two loops only in the second round.
+    """
+    decoration = range(len(children))
     while True:
-        p = _mode_partition(g, s, cap)
-        if s is Semantics.AFA or p.is_discrete:
-            return g, decoration, p
-        g, proj = quotient(g, p)
+        block_of = _blocks(children, s, cap)
+        count = max(block_of) + 1
+        if (
+            s is Semantics.AFA
+            or count == len(children)
+            or (
+                s is Semantics.SAFA
+                and all(len({block_of[v] for v in kids}) == len(kids) for kids in children)
+            )
+        ):
+            return children, root, decoration, block_of, count
+        children, proj = _quotient(children, root, block_of, count)
+        root = 0
         decoration = [proj[c] for c in decoration]
 
 
 def canonicalize(g: Apg, s: Semantics, cap: int = DEFAULT_ISO_CAP) -> CanonResult:
     """Quotient g by its mode's partition until no merging remains.
 
-    The final quotient by a discrete partition only re-indexes the graph
-    into its deterministic breadth-first form.
+    The settled graph is quotiented once more by its last partition, which
+    also re-indexes it into its deterministic breadth-first form; only this
+    final graph is built as an ``Apg``.
     """
-    cur, decoration, p = _settle(g, s, cap)
-    cur, proj = quotient(cur, p)
-    return CanonResult(cur, tuple(proj[c] for c in decoration))
+    children, root, decoration, block_of, count = _settle(g.children, g.root, s, cap)
+    children, proj = _quotient(children, root, block_of, count)
+    return CanonResult(Apg(children, 0), tuple([proj[c] for c in decoration]))
 
 
 def equality_classes(
@@ -94,9 +114,10 @@ def equality_classes(
     """
     if s is Semantics.FAFA:
         return picture_classes([canonicalize(g, s, cap=cap).canonical for g in graphs], s, cap)
-    union, roots = _union_under_fresh_root(graphs)
-    _, decoration, p = _settle(union, s, cap)
-    return list(Partition.from_class_of(p.class_of[decoration[r]] for r in roots).class_of)
+    children, roots = _union_under_fresh_root(graphs)
+    _, _, decoration, block_of, _ = _settle(children, 0, s, cap)
+    ids: dict[int, int] = {}
+    return [ids.setdefault(block_of[decoration[r]], len(ids)) for r in roots]
 
 
 def picture_classes(
@@ -122,9 +143,9 @@ def picture_classes(
     return out
 
 
-def _union_under_fresh_root(graphs: Sequence[Apg]) -> tuple[Apg, list[int]]:
-    """The disjoint union of the graphs below a new root 0, and the node
-    ids of their roots in it."""
+def _union_under_fresh_root(graphs: Sequence[Apg]) -> tuple[list[frozenset[int]], list[int]]:
+    """The child sets of the graphs' disjoint union below a new root 0, and
+    the node ids of their roots in it."""
     children: list[frozenset[int]] = [frozenset()]
     roots = []
     for g in graphs:
@@ -132,7 +153,7 @@ def _union_under_fresh_root(graphs: Sequence[Apg]) -> tuple[Apg, list[int]]:
         roots.append(g.root + offset)
         children.extend(frozenset(v + offset for v in kids) for kids in g.children)
     children[0] = frozenset(roots)
-    return Apg(tuple(children), 0), roots
+    return children, roots
 
 
 def equal(g1: Apg, g2: Apg, s: Semantics, cap: int = DEFAULT_ISO_CAP) -> bool:
@@ -156,7 +177,7 @@ def is_canonical_picture(
             if kids in seen:
                 return False, (seen[kids], u)
             seen[kids] = u
-    p = _mode_partition(g, s, cap)
+    p = Partition.from_class_of(_blocks(g.children, s, cap))
     if p.is_discrete:
         return True, None
     for members in p.classes():

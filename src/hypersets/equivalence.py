@@ -36,33 +36,56 @@ def counting_partition(g: Apg) -> Partition:
 
 
 def finsler_partition(g: Apg, cap: int = DEFAULT_ISO_CAP) -> Partition:
-    """Group u, v iff the sub-APGs rooted at u and at v are pointed-isomorphic."""
-    n = g.node_count
+    """Group u, v iff the sub-APGs rooted at u and at v are pointed-isomorphic.
+
+    Only nodes that share their counting class with another node have
+    their sub-APGs trimmed and compared (``_finsler_classes``); raises
+    ``SizeLimitExceeded`` when g has more than ``cap`` nodes.
+    """
+    return Partition.from_class_of(_finsler_classes(g.children, cap))
+
+
+def _finsler_classes(children, cap: int) -> list[int]:
+    """``finsler_partition`` on bare child sets: one class id per node, the
+    ids dense from 0 in no particular order.
+
+    Finsler refines counting, so only nodes that share their counting class
+    with another node need their sub-APGs trimmed and compared; when the
+    counting partition is discrete it is the answer.
+    """
+    n = len(children)
     if n > cap:
         raise SizeLimitExceeded(f"finsler partition capped at {cap} nodes")
+    class_of = _refine(children, counting=True)
+    next_class = max(class_of) + 1
+    if next_class == n:
+        return class_of
+    members: list[list[int]] = [[] for _ in range(next_class)]
+    for u, c in enumerate(class_of):
+        members[c].append(u)
 
-    raw = {u: sorted(g.children[u]) for u in range(n)}
-    subs = [trim_to_accessible(raw, u)[0] for u in range(n)]
-
-    # Nodes can only be isomorphic within equal (size, edges, counting class)
-    # buckets, which keeps the number of isomorphism calls small.
-    counting = counting_partition(g)
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    for u in range(n):
-        key = (subs[u].node_count, subs[u].edge_count, counting.class_of[u])
-        buckets.setdefault(key, []).append(u)
-
-    class_of = [0] * n
-    next_class = 0
-    for nodes in buckets.values():
-        reps: list[int] = []
+    raw = dict(enumerate(children))
+    for nodes in members:
+        if len(nodes) < 2:
+            continue
+        # Within a counting class, isomorphic sub-APGs have equal sizes,
+        # which keeps the number of isomorphism calls small.
+        buckets: dict[tuple[int, int], list[tuple[int, Apg]]] = {}
         for u in nodes:
-            for r in reps:
-                if pointed_isomorphic(subs[u], subs[r], cap=cap) is not None:
-                    class_of[u] = class_of[r]
-                    break
-            else:
-                reps.append(u)
-                class_of[u] = next_class
-                next_class += 1
-    return Partition.from_class_of(class_of)
+            sub = trim_to_accessible(raw, u)[0]
+            buckets.setdefault((sub.node_count, sub.edge_count), []).append((u, sub))
+        fresh = False  # the class's first representative keeps its id
+        for bucket in buckets.values():
+            reps: list[tuple[int, Apg]] = []
+            for u, sub in bucket:
+                for r, rsub in reps:
+                    if pointed_isomorphic(sub, rsub, cap=cap) is not None:
+                        class_of[u] = class_of[r]
+                        break
+                else:
+                    reps.append((u, sub))
+                    if fresh:
+                        class_of[u] = next_class
+                        next_class += 1
+                    fresh = True
+    return class_of

@@ -42,7 +42,8 @@ class LevelledUniverse:
         return max(self.first_level[code] - 1, 0)
 
     def atom_support(self, code: int) -> frozenset[int]:
-        memo: dict[int, frozenset[int]] = {}
+        """The atoms in the transitive closure of code."""
+        memo = self._support_memo
 
         def go(c: int) -> frozenset[int]:
             if c in memo:
@@ -59,6 +60,11 @@ class LevelledUniverse:
     @cached_property
     def _atom_set(self) -> frozenset[int]:
         return frozenset(self.atoms)
+
+    @cached_property
+    def _support_memo(self) -> dict[int, frozenset[int]]:
+        """``atom_support`` per code reached so far, shared by every call."""
+        return {}
 
     def hereditary_value(self, code: int):
         """Universe-independent structural value; atoms are tagged leaves."""

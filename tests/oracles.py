@@ -275,6 +275,119 @@ def equal_by_canonical_forms(g1: Apg, g2: Apg, s, cap: int = 512) -> bool:
     return pointed_isomorphic(c1, c2, cap=cap) is not None
 
 
+def naive_finsler_partition(g: Apg, same=brute_force_pointed_iso) -> Partition:
+    """Trim every node's sub-APG and group the nodes whose sub-APGs are
+    pointed-isomorphic by ``same`` (brute force, so <= 7 nodes, by default),
+    without the counting-class buckets."""
+    raw = {u: sorted(g.children[u]) for u in range(g.node_count)}
+    subs = [trim_to_accessible(raw, u)[0] for u in range(g.node_count)]
+    reps: list[int] = []
+    class_of = []
+    for u in range(g.node_count):
+        for i, r in enumerate(reps):
+            if same(subs[u], subs[r]):
+                class_of.append(i)
+                break
+        else:
+            reps.append(u)
+            class_of.append(len(reps) - 1)
+    return Partition.from_class_of(class_of)
+
+
+# --- the settle loop before it ran on bare child sets ---------------------------
+#
+# Differential references, not independent ones: they reuse the library's
+# partitions, ``quotient`` and isomorphism search, but build an ``Apg`` and a
+# ``Partition`` every round and always run the round that finds the
+# partition discrete.
+
+def _reference_partition(g: Apg, s, cap: int) -> Partition:
+    from hypersets.apg import pointed_isomorphic
+    from hypersets.canon import Semantics
+    from hypersets.equivalence import counting_partition, max_bisimulation
+    from hypersets.errors import SizeLimitExceeded
+
+    if s is Semantics.AFA:
+        return max_bisimulation(g)
+    if s is Semantics.SAFA:
+        return counting_partition(g)
+    if g.node_count > cap:
+        raise SizeLimitExceeded(f"finsler partition capped at {cap} nodes")
+    return naive_finsler_partition(
+        g, lambda a, b: pointed_isomorphic(a, b, cap=cap) is not None
+    )
+
+
+def _reference_settle(g: Apg, s, cap: int):
+    from hypersets.apg import quotient
+    from hypersets.canon import Semantics
+
+    decoration = list(range(g.node_count))
+    while True:
+        p = _reference_partition(g, s, cap)
+        if s is Semantics.AFA or p.is_discrete:
+            return g, decoration, p
+        g, proj = quotient(g, p)
+        decoration = [proj[c] for c in decoration]
+
+
+def reference_canonicalize(g: Apg, s, cap: int = 512) -> tuple[Apg, tuple[int, ...]]:
+    """The canonical graph and decoration, quotienting until the mode's
+    partition is discrete and then once more to re-index."""
+    from hypersets.apg import quotient
+
+    cur, decoration, p = _reference_settle(g, s, cap)
+    cur, proj = quotient(cur, p)
+    return cur, tuple(proj[c] for c in decoration)
+
+
+def reference_equality_classes(graphs, s, cap: int = 512) -> list[int]:
+    """AFA and SAFA: settle the disjoint union under a fresh root as an
+    ``Apg``; FAFA: group the canonical forms by pointed isomorphism."""
+    from hypersets.apg import pointed_isomorphic
+    from hypersets.canon import Semantics
+
+    if s is Semantics.FAFA:
+        reps: list[Apg] = []
+        out = []
+        for g in graphs:
+            pic = reference_canonicalize(g, s, cap)[0]
+            for i, rep in enumerate(reps):
+                if pointed_isomorphic(pic, rep, cap=cap) is not None:
+                    out.append(i)
+                    break
+            else:
+                out.append(len(reps))
+                reps.append(pic)
+        return out
+    children: list[frozenset[int]] = [frozenset()]
+    roots = []
+    for g in graphs:
+        offset = len(children)
+        roots.append(g.root + offset)
+        children.extend(frozenset(v + offset for v in kids) for kids in g.children)
+    children[0] = frozenset(roots)
+    _, decoration, p = _reference_settle(Apg(tuple(children), 0), s, cap)
+    return list(Partition.from_class_of(p.class_of[decoration[r]] for r in roots).class_of)
+
+
+def reference_is_canonical_picture(g: Apg, s, cap: int = 512):
+    """Discreteness of the mode's partition (FAFA: plain extensionality
+    first), with the first two members of the first doubled class."""
+    from hypersets.canon import Semantics
+
+    if s is Semantics.FAFA:
+        seen: dict[frozenset[int], int] = {}
+        for u, kids in enumerate(g.children):
+            if kids in seen:
+                return False, (seen[kids], u)
+            seen[kids] = u
+    for members in _reference_partition(g, s, cap).classes():
+        if len(members) > 1:
+            return False, (members[0], members[1])
+    return True, None
+
+
 def check_membership_iso(u, f: dict[int, int]) -> None:
     """Independent verifier: f is a partial membership isomorphism between
     transitive subsets of the universe u."""

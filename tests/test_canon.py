@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from hypersets.apg import Apg, DEFAULT_ISO_CAP, pointed_isomorphic, trim_to_accessible
+from hypersets.apg import Apg, DEFAULT_ISO_CAP, pointed_isomorphic, quotient, trim_to_accessible
 from hypersets.canon import (
     Semantics,
     automorphisms,
@@ -26,6 +26,9 @@ from oracles import (
     brute_force_automorphism_count,
     brute_force_automorphisms,
     equal_by_canonical_forms,
+    reference_canonicalize,
+    reference_equality_classes,
+    reference_is_canonical_picture,
     safa_equal_by_unfolding,
 )
 
@@ -36,8 +39,20 @@ TWO_CYCLE = Apg((fs([1]), fs([0])), 0)
 XQ = Apg((fs([0, 1]), fs([1])), 0)
 VN2 = Apg((fs([1, 2]), fs([2]), fs()), 0)
 DOUBLETON_OF_LOOPS = Apg((fs([1, 2]), fs([1]), fs([2])), 0)
+# r -> {a, c1}, a <-> b a 2-cycle, c1 -> c2 -> c3 -> c4 -> c1 a 4-cycle
+LOOPS_2_AND_4 = Apg((fs([1, 3]), fs([2]), fs([1]), fs([4]), fs([5]), fs([6]), fs([3])), 0)
 
 ALL_MODES = list(Semantics)
+PARTITION_OF = {
+    Semantics.AFA: max_bisimulation,
+    Semantics.SAFA: counting_partition,
+    Semantics.FAFA: finsler_partition,
+}
+
+
+def merges_no_edges(g: Apg, p) -> bool:
+    """No node of g has two children in one class of p."""
+    return all(len({p.class_of[v] for v in kids}) == len(kids) for kids in g.children)
 
 
 class TestCanonicalize:
@@ -80,16 +95,11 @@ class TestCanonicalize:
 
     def test_no_further_merging(self):
         rng = random.Random(57)
-        partition_of = {
-            Semantics.AFA: max_bisimulation,
-            Semantics.SAFA: counting_partition,
-            Semantics.FAFA: finsler_partition,
-        }
         for _ in range(100):
             g = random_apg(rng, 10)
             for s in ALL_MODES:
                 c = canonicalize(g, s).canonical
-                assert partition_of[s](c).is_discrete
+                assert PARTITION_OF[s](c).is_discrete
 
 
 class TestEqual:
@@ -208,6 +218,68 @@ class TestCanonicity:
         assert not fin.same_class(1, 2)
         ok, witness = is_canonical_picture(g, Semantics.FAFA)
         assert not ok and set(witness) == {1, 2}
+
+
+class TestSettleAgainstReference:
+    """The settle loop on bare child sets against the loop it replaced,
+    which builds an Apg and a Partition every round and always runs the
+    round that finds the partition discrete (oracles.reference_*)."""
+
+    def test_canonical_forms_and_canonicity(self):
+        rng = random.Random(72)
+        multi_round = {s: 0 for s in ALL_MODES}
+        rooted_elsewhere = duplicate_child_sets = 0
+        fixed = [LOOPS_2_AND_4, DOUBLETON_OF_LOOPS, Apg((fs([1, 2]), fs([2]), fs([2])), 0)]
+        for g in fixed + [relabelled(rng, random_apg(rng, 12)) for _ in range(1000)]:
+            rooted_elsewhere += g.root != 0
+            duplicate_child_sets += len(set(g.children)) < g.node_count
+            for s in ALL_MODES:
+                got = canonicalize(g, s)
+                want, decoration = reference_canonicalize(g, s)
+                assert got.canonical == want and got.decoration == decoration, (s, g)
+                assert is_canonical_picture(g, s) == reference_is_canonical_picture(g, s)
+                q, _ = quotient(g, PARTITION_OF[s](g))
+                multi_round[s] += not PARTITION_OF[s](q).is_discrete
+        assert rooted_elsewhere >= 300 and duplicate_child_sets >= 150
+        assert multi_round[Semantics.AFA] == 0
+        assert multi_round[Semantics.SAFA] >= 10 and multi_round[Semantics.FAFA] >= 5
+
+    def test_equality_classes_on_triples(self):
+        rng = random.Random(73)
+        triples = [[LOOPS_2_AND_4, OMEGA, DOUBLETON_OF_LOOPS]]
+        for i in range(1000):
+            g = relabelled(rng, random_apg(rng, 8))
+            h = relabelled(rng, random_apg(rng, 8))
+            k = relabelled(rng, g) if i % 2 else relabelled(rng, random_apg(rng, 8))
+            triples.append([g, h, k])
+        for graphs in triples:
+            for s in ALL_MODES:
+                want = reference_equality_classes(graphs, s)
+                assert equality_classes(graphs, s) == want, (s, graphs)
+
+
+class TestSafaEarlyStop:
+    def test_fafa_merges_the_loops_only_in_round_two(self):
+        fin = finsler_partition(LOOPS_2_AND_4)
+        assert merges_no_edges(LOOPS_2_AND_4, fin)
+        # So a FAFA loop that stopped once no edges merge would keep r, the
+        # 2-cycle and the 4-cycle; round two finds both loops to be Omega.
+        assert quotient(LOOPS_2_AND_4, fin)[0].node_count == 3
+        assert canonicalize(LOOPS_2_AND_4, Semantics.FAFA).canonical.node_count == 2
+        for s in (Semantics.AFA, Semantics.SAFA):
+            assert canonicalize(LOOPS_2_AND_4, s).canonical.node_count == 1
+
+    def test_safa_equal_against_unfolding_oracle(self):
+        rng = random.Random(74)
+        stops_in_round_one = 0
+        for i in range(300):
+            g1 = relabelled(rng, random_apg(rng, 10))
+            g2 = relabelled(rng, g1) if i % 3 == 0 else relabelled(rng, random_apg(rng, 10))
+            for g in (g1, g2):
+                p = counting_partition(g)
+                stops_in_round_one += not p.is_discrete and merges_no_edges(g, p)
+            assert equal(g1, g2, Semantics.SAFA) == safa_equal_by_unfolding(g1, g2), (g1, g2)
+        assert stops_in_round_one >= 30
 
 
 class TestAutomorphisms:

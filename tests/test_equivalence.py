@@ -1,14 +1,25 @@
 import random
 import time
 
-from hypersets.apg import Apg, Partition, _stable_colors, pointed_isomorphic, quotient
+import pytest
+
+from hypersets.apg import (
+    Apg,
+    Partition,
+    _stable_colors,
+    pointed_isomorphic,
+    quotient,
+    trim_to_accessible,
+)
 from hypersets.equivalence import counting_partition, finsler_partition, max_bisimulation
+from hypersets.errors import SizeLimitExceeded
 from hypersets.random_graphs import random_apg, random_well_founded_apg
 
 from oracles import (
     mostowski_collapse,
     naive_bisimulation,
     naive_counting_partition,
+    naive_finsler_partition,
     naive_stable_colors,
 )
 
@@ -112,6 +123,31 @@ class TestFinslerPartition:
         g = Apg((fs([1, 2]), fs(), fs()), 0)
         p = finsler_partition(g)
         assert p.same_class(1, 2)
+
+    def test_matches_naive_oracle(self):
+        # The oracle trims every node and compares by brute force; the
+        # library trims only nodes that share their counting class.
+        rng = random.Random(103)
+        discrete = one_class = 0
+        for i in range(600):
+            if i % 3 == 0:  # one child each: one counting class
+                n = rng.randint(1, 7)
+                g, _ = trim_to_accessible({u: [rng.randrange(n)] for u in range(n)}, 0)
+            elif i % 3 == 1:
+                g = random_well_founded_apg(rng, 7)
+            else:
+                g = random_apg(rng, 7)
+            cnt = counting_partition(g)
+            discrete += cnt.is_discrete
+            one_class += cnt.class_count == 1 and g.node_count > 1
+            assert finsler_partition(g) == naive_finsler_partition(g), g
+        assert discrete >= 100 and one_class >= 100
+
+    def test_cap(self):
+        g = Apg(tuple(fs([u + 1]) for u in range(9)) + (fs(),), 0)
+        with pytest.raises(SizeLimitExceeded):
+            finsler_partition(g, cap=9)
+        assert finsler_partition(g, cap=10).is_discrete
 
 
 class TestRefinementChain:
