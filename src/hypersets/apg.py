@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Mapping, Optional
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import NotWellFounded, SizeLimitExceeded
 
@@ -525,6 +525,29 @@ def pointed_isomorphic(
     return None if found is None else dict(enumerate(found))
 
 
+def _iso_classes(graphs: Sequence[Apg], cap: int) -> list[int]:
+    """One class id per graph, equal iff the graphs are pointed-isomorphic;
+    ids count from 0 in order of first appearance.
+
+    Each graph is compared with one representative per class, and only
+    with those of its own node and edge count.
+    """
+    reps: dict[tuple[int, int], list[tuple[Apg, int]]] = {}
+    out = []
+    count = 0
+    for g in graphs:
+        bucket = reps.setdefault((g.node_count, g.edge_count), [])
+        for rep, i in bucket:
+            if pointed_isomorphic(g, rep, cap=cap) is not None:
+                out.append(i)
+                break
+        else:
+            bucket.append((g, count))
+            out.append(count)
+            count += 1
+    return out
+
+
 def _reduce_generators(perms: Iterable[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
     """The permutations, in the order given, that are not generated by the
     ones kept before them; together they generate every one of perms."""
@@ -535,8 +558,8 @@ def _reduce_generators(perms: Iterable[tuple[int, ...]], n: int) -> list[tuple[i
         if p in generated:
             continue
         gens.append(p)
-        frontier = list(generated)
         generated.add(p)
+        frontier = list(generated)
         while frontier:
             q = frontier.pop()
             for r in gens:

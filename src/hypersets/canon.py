@@ -20,12 +20,12 @@ from .apg import (
     Apg,
     DEFAULT_ISO_CAP,
     Partition,
+    _iso_classes,
     _quotient,
     _reduce_generators,
     _refine,
     _stable_colors,
     isomorphisms,
-    pointed_isomorphic,
 )
 from .equivalence import _finsler_classes
 from .errors import SizeLimitExceeded
@@ -125,22 +125,12 @@ def picture_classes(
 ) -> list[int]:
     """``equality_classes`` of graphs that are already canonical under s.
 
-    FAFA then tests each picture against one representative per class,
-    without canonicalizing it again; AFA and SAFA take the joint pass.
+    FAFA then groups the pictures by pointed isomorphism, without
+    canonicalizing them again; AFA and SAFA take the joint pass.
     """
     if s is not Semantics.FAFA:
         return equality_classes(pictures, s, cap=cap)
-    reps: list[Apg] = []
-    out = []
-    for pic in pictures:
-        for i, rep in enumerate(reps):
-            if pointed_isomorphic(pic, rep, cap=cap) is not None:
-                out.append(i)
-                break
-        else:
-            out.append(len(reps))
-            reps.append(pic)
-    return out
+    return _iso_classes(pictures, cap)
 
 
 def _union_under_fresh_root(graphs: Sequence[Apg]) -> tuple[list[frozenset[int]], list[int]]:

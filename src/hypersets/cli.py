@@ -26,15 +26,10 @@ from .canon import (
     to_dot,
 )
 from .errors import (
-    AtomOutsideBoffa,
     DuplicateDefinition,
     GroupTooLarge,
     HslSyntaxError,
     HypersetError,
-    NotEndExtension,
-    NotExtensional,
-    NotInjective,
-    NotWellFounded,
     OrderTooLarge,
     SizeLimitExceeded,
     UndefinedName,
@@ -379,11 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mode", choices=MODES, default="afa")
         p.add_argument("--cap", type=_int_at_least(1), default=cap_default,
                        help="node cap for FAFA partitions, isomorphism and automorphism search")
-        p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("solve", help="canonicalize every named set in a program")
     p.add_argument("file", help=".hs-set program, or - for stdin")
     add_common(p)
+    p.add_argument("--json", action="store_true")
     p.add_argument("--dot", help="write DOT pictures to this path")
     p.set_defaults(func=cmd_solve)
 
@@ -398,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("name")
     add_common(p)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_aut)
 
     p = sub.add_parser("wf", help="cumulative hierarchy over Quine atoms")
@@ -416,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--table", help='JSON file {"order": n, "table": [[...]]}')
     p.add_argument("--group-cap", type=_int_at_least(1), default=8)
     add_common(p, mode=False)
+    p.add_argument("--json", action="store_true")
     p.add_argument("--dot")
     p.set_defaults(func=cmd_group)
 
@@ -446,16 +443,7 @@ def main(argv=None) -> int:
     except (SizeLimitExceeded, GroupTooLarge, OrderTooLarge) as exc:
         print(f"size cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (
-        UndefinedName,
-        AtomOutsideBoffa,
-        NotExtensional,
-        NotEndExtension,
-        NotInjective,
-        NotWellFounded,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (HypersetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
 

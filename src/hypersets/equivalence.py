@@ -16,8 +16,8 @@ from .apg import (
     Apg,
     DEFAULT_ISO_CAP,
     Partition,
+    _iso_classes,
     _refine,
-    pointed_isomorphic,
     trim_to_accessible,
 )
 from .errors import SizeLimitExceeded
@@ -68,24 +68,10 @@ def _finsler_classes(children, cap: int) -> list[int]:
     for nodes in members:
         if len(nodes) < 2:
             continue
-        # Within a counting class, isomorphic sub-APGs have equal sizes,
-        # which keeps the number of isomorphism calls small.
-        buckets: dict[tuple[int, int], list[tuple[int, Apg]]] = {}
-        for u in nodes:
-            sub = trim_to_accessible(raw, u)[0]
-            buckets.setdefault((sub.node_count, sub.edge_count), []).append((u, sub))
-        fresh = False  # the class's first representative keeps its id
-        for bucket in buckets.values():
-            reps: list[tuple[int, Apg]] = []
-            for u, sub in bucket:
-                for r, rsub in reps:
-                    if pointed_isomorphic(sub, rsub, cap=cap) is not None:
-                        class_of[u] = class_of[r]
-                        break
-                else:
-                    reps.append((u, sub))
-                    if fresh:
-                        class_of[u] = next_class
-                        next_class += 1
-                    fresh = True
+        ids = _iso_classes([trim_to_accessible(raw, u)[0] for u in nodes], cap)
+        # The class's first representative keeps its id; the others are new.
+        keep = class_of[nodes[0]]
+        for u, i in zip(nodes, ids):
+            class_of[u] = keep if i == 0 else next_class + i - 1
+        next_class += max(ids)
     return class_of

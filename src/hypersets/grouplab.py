@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .apg import DEFAULT_ISO_CAP, trim_to_accessible
+from .apg import DEFAULT_ISO_CAP, _reduce_generators, trim_to_accessible
 from .boffa import Universe
 from .canon import automorphisms
 from .errors import GroupTooLarge, OrderTooLarge
@@ -291,16 +291,12 @@ def aut_group_of(art: AgArtifact, cap: int = DEFAULT_ISO_CAP) -> AutGroupReport:
     if set(translations) != set(range(n)):
         raise AssertionError("missing left translations among the automorphisms")
 
-    elems = sorted(translations)
-    rows = []
-    for g in elems:
-        row = []
-        for h in elems:
-            comp = {i: translations[g][translations[h][i]] for i in tc}
-            g0 = atom_index[comp[art.atom_ids[group.identity]]]
-            row.append(elems.index(g0))
-        rows.append(tuple(row))
-    table = GroupTable.from_rows(rows)
+    # Translation by g after translation by h sends a_e to a_(g*h).
+    a_e = art.atom_ids[group.identity]
+    table = GroupTable.from_rows([
+        [atom_index[translations[g][translations[h][a_e]]] for h in range(n)]
+        for g in range(n)
+    ])
     return AutGroupReport(table, translations, len(id_perms))
 
 
@@ -344,25 +340,14 @@ def groups_isomorphic(g: GroupTable, h: GroupTable, cap: int = 12) -> bool:
 
 
 def _generating_set(g: GroupTable) -> list[int]:
-    gens: list[int] = []
-    span = {g.identity}
-    for x in sorted(range(g.order), key=g.element_order, reverse=True):
-        if x in span:
-            continue
-        gens.append(x)
-        frontier = list(span)
-        span.add(x)
-        frontier.append(x)
-        while frontier:
-            y = frontier.pop()
-            for z in (x, *gens):
-                w = g.mul(y, z)
-                if w not in span:
-                    span.add(w)
-                    frontier.append(w)
-        if len(span) == g.order:
-            break
-    return gens
+    """Elements, highest order first, not generated by those kept before.
+
+    Row x of the table is left multiplication by x, and rows compose as the
+    group multiplies, so the rows' generators map back to elements.
+    """
+    by_order = sorted(range(g.order), key=g.element_order, reverse=True)
+    rows = [tuple(g.table[x]) for x in by_order]
+    return [row[g.identity] for row in _reduce_generators(rows, g.order)]
 
 
 def _words_over(g: GroupTable, gens: list[int]) -> dict[int, tuple[int, ...]]:

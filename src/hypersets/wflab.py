@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
-from .apg import DEFAULT_ISO_CAP, _reduce_generators, _stable_colors, isomorphisms
+from .apg import DEFAULT_ISO_CAP, Apg
+from .canon import automorphisms
 from .errors import NotInjective, SizeLimitExceeded
 
 DEFAULT_ELEMENT_CAP = 1 << 16
@@ -218,26 +219,25 @@ def all_automorphisms(
 
     This searches the bare digraph of the membership relation and does not
     assume anything about atom maps, so it can serve as the independent
-    check that every automorphism arises from an atom permutation.
+    check that every automorphism arises from an atom permutation.  The
+    picture searched has a fresh root 0 over the top level and node i + 1
+    for its i-th smallest code, so ``canon.automorphisms`` lists the maps
+    in the wanted order; the cap counts top-level elements only.
     """
     top = u.top
-    n = len(top)
-    if n > cap:
+    if len(top) > cap:
         raise SizeLimitExceeded(f"automorphism search capped at {cap} elements")
-    index = {c: i for i, c in enumerate(top)}
-    children = [frozenset(index[m] for m in u.members[c]) for c in top]
-    colors = _stable_colors(children, [0] * n)
-    # Elements, and so the generators picked from them, in order of the
-    # images' codes.
-    found = sorted(
-        isomorphisms(children, colors, children, colors),
-        key=lambda p: [top[w] for w in p],
-    )
-    gens = _reduce_generators(found, n)
+    codes = sorted(top)
+    node = {c: i + 1 for i, c in enumerate(codes)}
+    children = [frozenset(node.values())]
+    children += [frozenset(node[m] for m in u.members[c]) for c in codes]
+    group = automorphisms(Apg(tuple(children), 0), cap=cap + 1)
 
     def as_map(p: tuple[int, ...]) -> dict[int, int]:
-        return {top[i]: top[w] for i, w in enumerate(p)}
+        return {c: codes[p[node[c]] - 1] for c in top}
 
     return StructureAutomorphisms(
-        len(found), [as_map(p) for p in gens], [as_map(p) for p in found]
+        group.order,
+        [as_map(p) for p in group.generators],
+        [as_map(p) for p in group.elements],
     )

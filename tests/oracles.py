@@ -447,6 +447,33 @@ def naive_rank(g: Apg):
 
 # --- structure maps and groups ------------------------------------------------
 
+def generated_group(gens, n: int) -> set[tuple[int, ...]]:
+    """Every product of the permutations gens of range(n), found by
+    breadth-first search from the identity over products with one more
+    generator."""
+    identity = tuple(range(n))
+    seen = {identity}
+    layer = [identity]
+    while layer:
+        nxt = []
+        for q in layer:
+            for r in gens:
+                p = tuple(q[r[i]] for i in range(n))
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+        layer = nxt
+    return seen
+
+
+def assert_irredundant_generators(gens, elements, n: int) -> None:
+    """Each generator lies outside the group the earlier ones generate, and
+    together they generate exactly the elements."""
+    for i, p in enumerate(gens):
+        assert p not in generated_group(gens[:i], n), (i, gens)
+    assert generated_group(gens, n) == set(elements), gens
+
+
 def pairwise_membership_exact(u, m) -> bool:
     """x in y <=> m(x) in m(y) for every pair of top-level elements of the
     levelled universe u, one pair at a time."""

@@ -23,6 +23,7 @@ from hypersets.random_graphs import random_apg, random_performance_graph
 
 from oracles import (
     afa_equal_via_union,
+    assert_irredundant_generators,
     brute_force_automorphism_count,
     brute_force_automorphisms,
     equal_by_canonical_forms,
@@ -364,6 +365,32 @@ class TestAutomorphisms:
                 kids += [fs(1 + i * k + v for v in vs) for vs in h.children]
             g = Apg(tuple(kids), 0)
             assert automorphisms(g).order == math.factorial(c) * aut_h ** c, h.children
+
+    def test_generators_irredundant_and_complete(self):
+        # Circulants (a root over a ring of k nodes, each pointing the same
+        # steps ahead) give cyclic and dihedral groups, where a later
+        # element can be a power of an earlier one; copies of one small
+        # graph under a root give wreath products.
+        rng = random.Random(74)
+        orders = []
+        for i in range(300):
+            if i % 2:
+                k = rng.randint(1, 7)
+                steps = rng.sample(range(k), rng.randint(1, min(k, 2)))
+                kids = [fs(range(1, k + 1))]
+                kids += [fs((j + d) % k + 1 for d in steps) for j in range(k)]
+            else:
+                part = random_apg(rng, 3)
+                kids = [set()]
+                for _ in range(rng.randint(2, min(5, 7 // part.node_count))):
+                    offset = len(kids)
+                    kids[0].add(part.root + offset)
+                    kids.extend({v + offset for v in vs} for vs in part.children)
+            g = Apg(tuple(fs(vs) for vs in kids), 0)
+            group = automorphisms(g)
+            assert_irredundant_generators(group.generators, group.elements, g.node_count)
+            orders.append(group.order)
+        assert sum(order >= 3 for order in orders) >= 100
 
     def test_is_rigid_consistent_with_order(self):
         rng = random.Random(63)

@@ -21,7 +21,7 @@ from hypersets.cli import (
 )
 from hypersets.hsl import flatten, parse
 
-from oracles import order_eight_groups
+from oracles import generated_group, order_eight_groups
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 
@@ -215,12 +215,38 @@ class TestCapValidation:
         assert err.startswith("usage: hypersets") and "expected an integer >=" in err
 
 
+class TestJsonFlag:
+    @pytest.mark.parametrize("argv", [["eq", "PATH", "x", "x"], ["repl"]])
+    def test_only_where_read(self, capsys, program, argv):
+        argv = [program("x = {x};") if a == "PATH" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--json"])
+        assert exc.value.code == EXIT_SEMANTIC
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hypersets") and "unrecognized arguments: --json" in err
+
+
 class TestAut:
     def test_boffa_doubleton_order_two(self, capsys, program):
         path = program("atom a; atom b; d = {a, b};")
         code, out = run(capsys, "aut", path, "d", "--mode", "boffa")
         assert code == EXIT_OK
         assert "automorphism order 2" in out
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_cyclic_group_has_one_generator(self, capsys, program, k):
+        # r = {c0, ..., c(k-1)}, each ci pointing to the next and to its own
+        # atom: the automorphisms rotate the ring, a cyclic group of order k
+        lines = [f"atom t{i};" for i in range(k)]
+        lines.append("r = {" + ", ".join(f"c{i}" for i in range(k)) + "};")
+        lines += [f"c{i} = {{c{(i + 1) % k}, t{i}}};" for i in range(k)]
+        code, out = run(capsys, "aut", program("\n".join(lines)), "r", "--mode", "boffa")
+        assert code == EXIT_OK
+        head, *rest = out.splitlines()
+        assert head == f"automorphism order {k}"
+        assert len(rest) == 1 and rest[0].startswith("generator ")
+        gen = tuple(int(x) for x in rest[0].split()[1:])
+        assert len(generated_group([gen], len(gen))) == k
 
     def test_long_chain(self, capsys, program):
         # 2,401 nodes: the colour refinement that seeds the search must not

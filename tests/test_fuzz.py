@@ -1,0 +1,173 @@
+"""Fuzzing the command-line surface: every input ends in a documented exit
+code (0, 1, 2, 3, 10 or 11), never in a traceback, and within a wall-clock
+bound.
+
+The draws cover random bytes (invalid UTF-8 included), programs from a
+small grammar, and REPL sessions.  They leave out ``aut``, ``:aut``,
+``:rigid``, ``wf`` and ``group`` and declare at most six atoms: those
+commands list whole automorphism groups, and k interchangeable atoms give
+k! elements, so their running time is bounded by the group order and not
+by the input size.
+
+Every command runs with ``--cap 128``, which bounds only FAFA partitions
+and isomorphism search.  FAFA canonicalization compares sub-APGs pair by
+pair, so its time grows about quadratically up to the default cap of 512
+nodes: a five-definition program of about 500 nodes drawn here took 5 s
+in FAFA mode at the default cap, against 0.05 s in AFA mode.
+"""
+
+import contextlib
+import io
+import os
+import sys
+import tempfile
+import time
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from hypersets.cli import MODES, main
+
+EXIT_CODES = {0, 1, 2, 3, 10, 11}
+CAP = ["--cap", "128"]
+WALL_S = 2.0  # per command, far above the few milliseconds each one takes
+FUZZ = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+# Definitions bind n0..n4 only, so a reference to n5 is always undefined.
+NAMES = [f"n{i}" for i in range(6)]
+DEFINED = NAMES[:5]
+ATOMS = [f"t{i}" for i in range(6)]
+
+
+def run_cli(argv, stdin_text=None) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    if stdin_text is not None:
+        sys.stdin = io.StringIO(stdin_text)
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    elapsed = time.perf_counter() - start
+    assert code in EXIT_CODES, (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    assert elapsed < WALL_S, (argv, elapsed)
+    return code
+
+
+def _nest(depth_and_term) -> str:
+    depth, term = depth_and_term
+    return "{" * depth + term + "}" * depth
+
+
+def terms(leaves):
+    """Sets and tuples over the given leaves and numerals up to 50, inside
+    up to 200 singleton braces."""
+    return st.tuples(
+        st.integers(0, 200),
+        st.recursive(
+            st.one_of(leaves, st.integers(0, 50).map(str)),
+            lambda inner: st.one_of(
+                st.lists(inner, max_size=4).map(lambda xs: "{" + ", ".join(xs) + "}"),
+                st.lists(inner, min_size=2, max_size=4).map(lambda xs: "<" + ", ".join(xs) + ">"),
+            ),
+            max_leaves=10,
+        ),
+    ).map(_nest)
+
+
+any_name = st.sampled_from(NAMES + ATOMS)
+# Any statement: names may repeat or be undefined.  Right-hand names make
+# aliases, which chain and close cycles.
+statements = st.one_of(
+    st.tuples(st.sampled_from(DEFINED), st.one_of(terms(any_name), any_name)).map(
+        lambda t: f"{t[0]} = {t[1]};"
+    ),
+    st.sampled_from(ATOMS).map(lambda a: f"atom {a};"),
+)
+
+
+@st.composite
+def programs(draw):
+    """A program, in shuffled order, that binds each drawn name once and
+    refers only to bound names, plus at most one statement drawn from
+    ``statements``; and two names for ``eq``."""
+    bound = draw(st.lists(st.sampled_from(DEFINED), min_size=1, max_size=5, unique=True))
+    # Atom declarations are errors outside Boffa mode, so two programs in
+    # three have none.
+    atoms = draw(st.lists(st.sampled_from(ATOMS), max_size=6, unique=True)) \
+        if draw(st.sampled_from([False, False, True])) else []
+    refs = st.sampled_from(bound + atoms)
+    # One right-hand side in four is an alias.
+    rhs = [draw(refs) if draw(st.integers(0, 3)) == 0 else draw(terms(refs)) for _ in bound]
+    lines = [f"{n} = {t};" for n, t in zip(bound, rhs)]
+    lines += [f"atom {a};" for a in atoms]
+    lines += draw(st.lists(statements, max_size=1))
+    pair = st.sampled_from(bound + ["n5"])
+    return "\n".join(draw(st.permutations(lines))), draw(pair), draw(pair)
+
+
+raw_inputs = st.one_of(
+    st.binary(max_size=200),
+    st.text(alphabet="{}<>=,;#\n atomn0123t_xé", max_size=120).map(str.encode),
+)
+
+
+def write(directory: str, data: bytes) -> str:
+    path = os.path.join(directory, "prog.hs-set")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return path
+
+
+def solve_and_eq(path: str, a: str, b: str) -> None:
+    for mode in MODES:
+        run_cli(["solve", path, "--mode", mode, *CAP])
+        run_cli(["solve", path, "--mode", mode, "--json", *CAP])
+        run_cli(["eq", path, a, b, "--mode", mode, *CAP])
+
+
+@given(raw_inputs)
+@settings(FUZZ, max_examples=60)
+def test_random_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        solve_and_eq(write(tmp, data), "n0", "x")
+
+
+@given(programs())
+@settings(FUZZ, max_examples=50)
+def test_grammar_programs(program):
+    text, a, b = program
+    with tempfile.TemporaryDirectory() as tmp:
+        solve_and_eq(write(tmp, text.encode()), a, b)
+
+
+def repl_lines(picture_path: str):
+    name = st.sampled_from(NAMES)
+    return st.one_of(
+        statements,
+        st.tuples(name, name).map(lambda t: f":eq {t[0]} {t[1]}"),
+        name.map(lambda a: f":canon {a}"),
+        st.sampled_from(MODES + ("bogus",)).map(lambda m: f":mode {m}"),
+        name.map(lambda a: f":picture {a} {picture_path}"),
+        st.sampled_from([":eq n0", ":canon", ":canon n0 n1", ":mode", ":picture n0",
+                         ":nope", ":", "=", "n0 = {", "atom;"]),
+    )
+
+
+@given(st.data())
+@settings(FUZZ, max_examples=40)
+def test_repl_sessions(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = data.draw(st.lists(repl_lines(os.path.join(tmp, "pic.dot")), max_size=10))
+        for mode in MODES:
+            assert run_cli(["repl", "--mode", mode, *CAP], "\n".join(lines) + "\n") == 0

@@ -216,3 +216,9 @@ class TestAllAutomorphisms:
         u = build_universe(3, 2)
         with pytest.raises(SizeLimitExceeded):
             all_automorphisms(u, cap=10)
+
+    def test_cap_counts_top_level_elements(self):
+        u = build_universe(2, 2)
+        assert all_automorphisms(u, cap=len(u.top)).count == 2
+        with pytest.raises(SizeLimitExceeded):
+            all_automorphisms(u, cap=len(u.top) - 1)
