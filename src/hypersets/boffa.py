@@ -28,8 +28,7 @@ class Universe:
         self.sets: dict[int, frozenset[int]] = {}
         self.labels: dict[int, str] = {}
         self.next_id = 0
-        # Reverse index over non-self-referential member sets; Quine atoms
-        # and other self-members are exempt (see class docstring).
+        # Reverse index: member set -> id, over every set.
         self._by_members: dict[frozenset[int], int] = {}
 
     def __len__(self) -> int:
@@ -48,12 +47,11 @@ class Universe:
         return [i for i in sorted(self.sets) if self.is_quine_atom(i)]
 
     def snapshot(self) -> "Universe":
-        """Independent copy; member sets are immutable and shared."""
+        """Independent copy of every attribute, memos included; member sets
+        are immutable and shared."""
         u = Universe()
-        u.sets = dict(self.sets)
-        u.labels = dict(self.labels)
-        u.next_id = self.next_id
-        u._by_members = dict(self._by_members)
+        for k, v in vars(self).items():
+            setattr(u, k, dict(v) if isinstance(v, dict) else v)
         return u
 
     def check_extensionality(self) -> None:
@@ -75,6 +73,7 @@ class Universe:
         i = self.next_id
         self.next_id += 1
         self.sets[i] = frozenset((i,))
+        self._by_members[self.sets[i]] = i
         if label is not None:
             self.labels[i] = label
         return i
@@ -83,14 +82,14 @@ class Universe:
         """The set with the given members: reused if it already exists
         (extensionality), freshly minted otherwise.
 
-        The reuse check covers self-referential sets too: for a Quine atom
-        a the request {a} returns a itself, since {a} = a.
+        The index covers self-referential sets too: for a Quine atom a the
+        request {a} returns a itself, since {a} = a.
         """
         ms = frozenset(members)
         for c in ms:
             if c not in self.sets:
                 raise ValueError(f"unknown member id {c}")
-        existing = self._find_by_members(ms)
+        existing = self._by_members.get(ms)
         if existing is not None:
             return existing
         i = self.next_id
@@ -98,16 +97,6 @@ class Universe:
         self.sets[i] = ms
         self._by_members[ms] = i
         return i
-
-    def _find_by_members(self, ms: frozenset[int]) -> Optional[int]:
-        hit = self._by_members.get(ms)
-        if hit is not None:
-            return hit
-        # A self-referential duplicate must be one of its own members.
-        for e in ms:
-            if self.sets.get(e) == ms:
-                return e
-        return None
 
     def realize(
         self,
@@ -157,39 +146,19 @@ class Universe:
         ill = _reaches_cycle(new_keys, ext_children, set(old))
         phi: dict = dict(old)
 
-        staged_sets: dict[int, frozenset[int]] = {}
-        staged_index: dict[frozenset[int], int] = {}
-        next_id = self.next_id
-
-        def lookup(ms: frozenset[int]) -> Optional[int]:
-            hit = self._find_by_members(ms)
-            return hit if hit is not None else staged_index.get(ms)
-
+        # Every check on the input has run; from here on nothing can raise
+        # but the invariant below, so the store is written in place.
         for k in _topo_order(new_keys, ext_children, ill):
-            ms = frozenset(phi[c] for c in ext_children[k])
-            hit = lookup(ms)
-            if hit is not None:
-                phi[k] = hit
-            else:
-                phi[k] = next_id
-                staged_sets[next_id] = ms
-                staged_index[ms] = next_id
-                next_id += 1
+            phi[k] = self.add_set(phi[c] for c in ext_children[k])
         for k in sorted(ill, key=_stable_key):
-            phi[k] = next_id
-            next_id += 1
+            phi[k] = self.next_id
+            self.next_id += 1
         for k in ill:
             ms = frozenset(phi[c] for c in ext_children[k])
-            i = phi[k]
-            staged_sets[i] = ms
-            if i not in ms:
-                if lookup(ms) is not None:
-                    raise AssertionError("ill-founded mint duplicated a member set")
-                staged_index[ms] = i
-
-        self.sets.update(staged_sets)
-        self._by_members.update(staged_index)
-        self.next_id = next_id
+            if ms in self._by_members:
+                raise AssertionError("ill-founded mint duplicated a member set")
+            self.sets[phi[k]] = ms
+            self._by_members[ms] = phi[k]
         return phi
 
     def extend_iso_step(self, f: Mapping[int, int], x: int) -> dict[int, int]:
@@ -262,9 +231,7 @@ class Universe:
                 raise ValueError(f"id {s} listed as atom but is not one")
             if label is not None:
                 u.labels[i] = label
-        u._by_members = {
-            m: i for i, m in u.sets.items() if i not in m
-        }
+        u._by_members = {m: i for i, m in u.sets.items()}
         u.check_extensionality()
         return u
 

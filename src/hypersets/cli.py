@@ -30,7 +30,6 @@ from .errors import (
     GroupTooLarge,
     HslSyntaxError,
     HypersetError,
-    OrderTooLarge,
     SizeLimitExceeded,
     UndefinedName,
 )
@@ -72,8 +71,10 @@ def _int_at_least(low: int):
 
 
 def _read_program(path: str) -> HslProgram:
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    return parse(text)
+    if path == "-":
+        return parse(sys.stdin.read())
+    with open(path, encoding="utf-8") as f:
+        return parse(f.read())
 
 
 def _solve_names(program: HslProgram, mode: str, cap: int, names=None, pictures=True):
@@ -440,7 +441,7 @@ def main(argv=None) -> int:
     except (HslSyntaxError, DuplicateDefinition) as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
-    except (SizeLimitExceeded, GroupTooLarge, OrderTooLarge) as exc:
+    except SizeLimitExceeded as exc:
         print(f"size cap: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (HypersetError, ValueError, OSError) as exc:

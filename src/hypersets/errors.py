@@ -46,9 +46,9 @@ class AtomOutsideBoffa(HypersetError):
     """`atom` declarations are only meaningful under Boffa semantics."""
 
 
-class GroupTooLarge(HypersetError):
+class GroupTooLarge(SizeLimitExceeded):
     """Group order exceeds the construction cap."""
 
 
-class OrderTooLarge(HypersetError):
+class OrderTooLarge(SizeLimitExceeded):
     """Group order exceeds the isomorphism-search cap."""

@@ -362,15 +362,11 @@ def flatten_into(program: HslProgram, universe: Universe) -> dict[str, int]:
     set), then the graph is realized over the minted atoms.
     """
     builder = _GraphBuilder(program)
-    children = {k: list(v) for k, v in builder.children.items()}
-    rep = _merge_duplicates(children)
-
-    old = {}
-    for name in program.atom_names:
-        key = rep[("atom", name)]
-        if key not in old:
-            old[key] = universe.add_quine_atom(label=name)
-    phi = universe.realize(children, old)
+    rep = _merge_duplicates(builder.children)
+    # Atom keys win every merge and their child sets differ, so each is its
+    # own representative.
+    old = {("atom", name): universe.add_quine_atom(label=name) for name in program.atom_names}
+    phi = universe.realize(builder.children, old)
     return {
         name: phi[rep[builder.node_of[name]]]
         for name in program.defined_names + program.atom_names

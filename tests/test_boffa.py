@@ -7,6 +7,7 @@ from hypersets.apg import pointed_isomorphic
 from hypersets.boffa import Universe
 from hypersets.canon import is_rigid
 from hypersets.errors import NotEndExtension, NotExtensional
+from hypersets.grouplab import make_order_gadget
 
 from oracles import check_membership_iso
 
@@ -79,12 +80,38 @@ class TestRealize:
         with pytest.raises(NotExtensional):
             u.realize({"x": [], "y": []}, {})
 
+    # One case per check realize makes on its input, over von Neumann 0, 1,
+    # 2; each graph also gets new ill-founded nodes that a successful call
+    # would mint.
+    FAILING_REALIZE = {
+        "edge outside the graph": (ValueError, "outside the graph", {"a": ["b"]}, {}),
+        "not extensional": (NotExtensional, "identical members", {"x": [], "y": []}, {}),
+        "old part not injective": (
+            ValueError, "two nodes to one id", {"z": [], "w": ["z"]}, {"z": "0", "w": "0"},
+        ),
+        "old node not in graph": (ValueError, "not a node of the graph", {"z": []}, {"o": "0"}),
+        "unknown old id": (ValueError, "not in the universe", {"z": []}, {"z": None}),
+        "old part not transitive": (
+            ValueError, "not transitive", {"o": ["z"], "z": []}, {"o": "1"},
+        ),
+        "new member of an old set": (
+            NotEndExtension, "new member", {"z": ["n"], "n": ["fresh"], "fresh": []}, {"z": "0"},
+        ),
+        "old membership altered": (
+            NotEndExtension, "altered",
+            {"z": [], "o": ["z"], "t": ["o"]}, {"z": "0", "o": "1", "t": "2"},
+        ),
+    }
+
     def test_failed_realize_leaves_store_unchanged(self):
-        u, ids = vn_universe()
-        before = dict(u.sets)
-        with pytest.raises(NotEndExtension):
-            u.realize({"z": ["n"], "n": ["fresh"], "fresh": []}, {"z": ids["0"]})
-        assert u.sets == before
+        for case, (exc, message, ext, old) in self.FAILING_REALIZE.items():
+            u, ids = vn_universe()
+            ext = {**ext, "q": ["q"], "w2": ["q", "w2"], "s": ["w2"]}
+            old = {k: 999 if name is None else ids[name] for k, name in old.items()}
+            before = (dict(u.sets), dict(u._by_members), u.next_id)
+            with pytest.raises(exc, match=message):
+                u.realize(ext, old)
+            assert (u.sets, u._by_members, u.next_id) == before, case
 
     def test_identity_on_old_part(self):
         u, ids = vn_universe()
@@ -177,6 +204,65 @@ class TestPictures:
                     assert pointed_isomorphic(u.picture_of(i), u.picture_of(j)) is None
 
 
+def _random_extension(rng: random.Random, u: Universe, old_ids: set[int]) -> tuple[dict, dict]:
+    """A random graph over new keys n0, n1, ... end-extending the transitive
+    set old_ids (keyed ("o", i)); new nodes may be self-membered or lie on
+    cycles, and may share members, which realize rejects."""
+    old = {("o", i): i for i in sorted(old_ids)}
+    ext = {k: [("o", c) for c in u.sets[i]] for k, i in old.items()}
+    new = [f"n{j}" for j in range(rng.randint(1, 5))]
+    for k in new:
+        pool = new + list(old)
+        ext[k] = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+        if rng.random() < 0.2:
+            ext[k].append(k)
+    return ext, old
+
+
+def _random_step(rng: random.Random, u: Universe) -> Universe:
+    """One random operation on u; returns the universe to carry on with."""
+    op = rng.choice(["atom", "set", "realize", "realize_old", "iso", "snapshot", "json"])
+    ids = sorted(u.sets)
+    if op == "atom":
+        u.add_quine_atom(rng.choice([None, "x"]))
+    elif op == "set":
+        u.add_set(rng.sample(ids, rng.randint(0, min(3, len(ids)))))
+    elif op in ("realize", "realize_old"):
+        old_ids: set[int] = set()
+        if op == "realize_old" and ids:
+            old_ids = u._transitive_closure(rng.choice(ids))
+        ext, old = _random_extension(rng, u, old_ids)
+        try:
+            u.realize(ext, old)
+        except NotExtensional:
+            pass
+    elif op == "iso" and ids:
+        u.extend_iso_step(u.extend_iso_step({}, rng.choice(ids)), rng.choice(ids))
+    elif op == "snapshot":
+        return u.snapshot()
+    elif op == "json":
+        return Universe.from_json(json.loads(json.dumps(u.to_json())))
+    return u
+
+
+class TestMemberIndex:
+    def test_index_holds_every_set_after_every_step(self):
+        rng = random.Random(2024)
+        ops = 0
+        for _ in range(300):
+            u = Universe()
+            for _ in range(rng.randint(1, 10)):
+                u = _random_step(rng, u)
+                ops += 1
+                assert u._by_members == {m: i for i, m in u.sets.items()}
+                size, next_id = len(u), u.next_id
+                for i in list(u.sets):
+                    assert u.add_set(u.sets[i]) == i
+                assert (len(u), u.next_id) == (size, next_id)
+                u.check_extensionality()
+        assert ops >= 1000
+
+
 class TestJson:
     def test_round_trip_exact(self):
         u = Universe()
@@ -195,3 +281,15 @@ class TestJson:
         snap = u.snapshot()
         u.add_quine_atom()
         assert len(snap) == 1 and len(u) == 2
+
+    def test_snapshot_keeps_gadget_memo(self):
+        u, ids = vn_universe()
+        zero, one = ids["0"], ids["1"]
+        gadget = make_order_gadget(u, zero, one)
+        v = u.snapshot()
+        size = len(v)
+        assert make_order_gadget(v, zero, one) == gadget
+        assert len(v) == size
+        make_order_gadget(u, one, zero)
+        assert len(v) == size
+        assert make_order_gadget(v, one, zero) in v and len(v) > size

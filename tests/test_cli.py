@@ -97,6 +97,19 @@ class TestSolve:
         _, out2 = run(capsys, "solve", path, "--mode", "safa")
         assert out1 == out2
 
+    def test_program_file_closed(self, capsys, program, monkeypatch):
+        opened = []
+        real_open = open
+
+        def spy(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr("builtins.open", spy)
+        code, _ = run(capsys, "solve", program("x = {x};"))
+        assert code == EXIT_OK
+        assert opened and all(f.closed for f in opened)
+
     def test_boffa_output_independent_of_hash_seed(self, program):
         # Set ids must not follow the iteration order of sets of string
         # keys, which changes with PYTHONHASHSEED.

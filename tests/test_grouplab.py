@@ -3,7 +3,7 @@ import time
 import pytest
 
 from hypersets.boffa import Universe
-from hypersets.errors import GroupTooLarge, OrderTooLarge
+from hypersets.errors import GroupTooLarge, OrderTooLarge, SizeLimitExceeded
 from hypersets.grouplab import (
     GroupTable,
     aut_group_of,
@@ -150,8 +150,9 @@ class TestBuildAG:
         assert u._transitive_closure(art.root) == expected | {art.root}
 
     def test_group_cap(self):
-        with pytest.raises(GroupTooLarge):
+        with pytest.raises(GroupTooLarge) as info:
             build_A_G(cyclic_group(9))
+        assert isinstance(info.value, SizeLimitExceeded)
 
     def test_all_groups_of_order_eight(self):
         # Order 8 is the default cap; the search must stay quick there, and
@@ -187,5 +188,6 @@ class TestGroupsIsomorphic:
         assert groups_isomorphic(s3, GroupTable.from_rows(rows))
 
     def test_order_cap(self):
-        with pytest.raises(OrderTooLarge):
+        with pytest.raises(OrderTooLarge) as info:
             groups_isomorphic(cyclic_group(13), cyclic_group(13))
+        assert isinstance(info.value, SizeLimitExceeded)
