@@ -576,25 +576,29 @@ def apg_from_json(data: Mapping) -> Apg:
     """Load the shared JSON graph format.
 
     ``{"nodes": [ids], "edges": [[from, to]], "root": id, "labels": {...}}``
-    with string node ids.  Duplicate edges are rejected.
+    with string node ids.  Every malformed document, duplicate edges
+    included, raises ValueError.
     """
-    names = list(data["nodes"])
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate node ids")
-    index = {name: i for i, name in enumerate(names)}
-    children: list[set[int]] = [set() for _ in names]
-    seen_edges = set()
-    for a, b in data["edges"]:
-        if (a, b) in seen_edges:
-            raise ValueError(f"duplicate edge {a!r}->{b!r}")
-        seen_edges.add((a, b))
-        if a not in index or b not in index:
-            raise ValueError(f"edge {a!r}->{b!r} mentions unknown node")
-        children[index[a]].add(index[b])
-    root = data["root"]
-    if root not in index:
-        raise ValueError(f"unknown root {root!r}")
-    labels = {index[k]: v for k, v in data.get("labels", {}).items()}
+    try:
+        names = list(data["nodes"])
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != len(names):
+            raise ValueError("duplicate node ids")
+        children: list[set[int]] = [set() for _ in names]
+        for a, b in data["edges"]:
+            if a not in index or b not in index:
+                raise ValueError(f"edge {a!r}->{b!r} mentions unknown node")
+            if index[b] in children[index[a]]:
+                raise ValueError(f"duplicate edge {a!r}->{b!r}")
+            children[index[a]].add(index[b])
+        root = data["root"]
+        if root not in index:
+            raise ValueError(f"unknown root {root!r}")
+        labels = {index[k]: v for k, v in data.get("labels", {}).items()}
+        if not all(isinstance(v, str) for v in labels.values()):
+            raise ValueError("labels must be strings")
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed graph document: {exc!r}") from None
     return Apg(tuple(frozenset(s) for s in children), index[root], labels)
 
 

@@ -211,28 +211,36 @@ class Universe:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Universe":
+        """Inverse of ``to_json``; every malformed document raises
+        ValueError."""
         u = cls()
-        ids = [int(s) for s in data["nodes"]]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate set ids")
-        members: dict[int, set[int]] = {i: set() for i in ids}
-        seen = set()
-        for a, b in data["edges"]:
-            i, c = int(a), int(b)
-            if (i, c) in seen:
-                raise ValueError(f"duplicate edge {a!r}->{b!r}")
-            seen.add((i, c))
-            members[i].add(c)
-        u.sets = {i: frozenset(members[i]) for i in ids}
-        u.next_id = max(ids) + 1 if ids else 0
-        for s, label in data.get("atoms", {}).items():
-            i = int(s)
-            if not u.is_quine_atom(i):
-                raise ValueError(f"id {s} listed as atom but is not one")
-            if label is not None:
-                u.labels[i] = label
+        try:
+            ids = [int(s) for s in data["nodes"]]
+            if len(set(ids)) != len(ids):
+                raise ValueError("duplicate set ids")
+            members: dict[int, set[int]] = {i: set() for i in ids}
+            for a, b in data["edges"]:
+                i, c = int(a), int(b)
+                if i not in members or c not in members:
+                    raise ValueError(f"edge {a!r}->{b!r} mentions an unknown id")
+                if c in members[i]:
+                    raise ValueError(f"duplicate edge {a!r}->{b!r}")
+                members[i].add(c)
+            u.sets = {i: frozenset(members[i]) for i in ids}
+            u.next_id = max(ids) + 1 if ids else 0
+            for s, label in data.get("atoms", {}).items():
+                i = int(s)
+                if u.sets.get(i) != frozenset((i,)):
+                    raise ValueError(f"id {s} listed as atom but is not one")
+                if not isinstance(label, (str, type(None))):
+                    raise ValueError(f"atom label {label!r} is not a string")
+                if label is not None:
+                    u.labels[i] = label
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed universe document: {exc!r}") from None
         u._by_members = {m: i for i, m in u.sets.items()}
-        u.check_extensionality()
+        if len(u._by_members) != len(u.sets):
+            raise ValueError("two sets have the same members")
         return u
 
 

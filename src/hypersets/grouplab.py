@@ -23,6 +23,7 @@ from .apg import DEFAULT_ISO_CAP, _reduce_generators, trim_to_accessible
 from .boffa import Universe
 from .canon import automorphisms
 from .errors import GroupTooLarge, OrderTooLarge
+from .hsl import AtomDecl, Definition, HslProgram, NameRef, SetTerm, TupleTerm, flatten_into
 
 DEFAULT_GROUP_CAP = 8
 PRESET_NAMES = ("z1", "z2", "z3", "z4", "v4", "s3")
@@ -120,22 +121,6 @@ def preset_group(name: str) -> GroupTable:
 
 # --- gadgets -----------------------------------------------------------------
 
-def _pair_id(u: Universe, a: int, b: int) -> int:
-    w1 = u.add_set([a])
-    if a == b:
-        return u.add_set([w1])
-    w2 = u.add_set([a, b])
-    return u.add_set([w1, w2])
-
-
-def _tuple_id(u: Universe, components: Sequence[int]) -> int:
-    """Right-nested Kuratowski encoding of an already-realized tuple."""
-    out = components[-1]
-    for c in reversed(components[:-1]):
-        out = _pair_id(u, c, out)
-    return out
-
-
 def make_cyclic_tuple(u: Universe, *components: int) -> int:
     """A set x with x = <x, c1, ..., ck>; one id per component tuple.
 
@@ -146,18 +131,11 @@ def make_cyclic_tuple(u: Universe, *components: int) -> int:
     if not components:
         raise ValueError("need at least one component")
     memo: dict[tuple[int, ...], int] = u.__dict__.setdefault("_gadget_memo", {})
-    key = tuple(components)
-    if key in memo:
-        return memo[key]
-    tail = _tuple_id(u, key) if len(key) > 1 else key[0]
-    old_ids = u._transitive_closure(tail)
-    ext: dict = {i: u.members(i) for i in old_ids}
-    ext["r"] = ["w1", "w2"]
-    ext["w1"] = ["r"]
-    ext["w2"] = ["r", tail]
-    phi = u.realize(ext, {i: i for i in old_ids})
-    memo[key] = phi["r"]
-    return memo[key]
+    if components not in memo:
+        given = {f"c{i}": c for i, c in enumerate(components)}
+        term = TupleTerm((NameRef("r"),) + tuple(map(NameRef, given)))
+        memo[components] = flatten_into(HslProgram((Definition("r", term),)), u, given)["r"]
+    return memo[components]
 
 
 def make_order_gadget(u: Universe, a: int, b: int) -> int:
@@ -211,30 +189,29 @@ class AgArtifact:
 
 
 def build_A_G(group: GroupTable, cap: int = DEFAULT_GROUP_CAP) -> AgArtifact:
-    """Materialize A_G = TC(atoms a_g, tuples r(g,h)) in a fresh universe."""
+    """Materialize A_G = TC(atoms a_g, tuples r(g,h)) in a fresh universe,
+    as one program: ``atom a{g};``, ``n{h} = {n0, ..., n(h-1)};`` and
+    ``r_{g}_{h} = <r_{g}_{h}, a{g}, n{h}, a{g*h}>;``."""
     n = group.order
     if n > cap:
         raise GroupTooLarge(f"group order {n} exceeds cap {cap}")
+    elements = range(n)
+    statements: list = [AtomDecl(f"a{g}") for g in elements]
+    statements += [
+        Definition(f"n{h}", SetTerm(tuple(NameRef(f"n{j}") for j in range(h)))) for h in elements
+    ]
+    statements += [
+        Definition(f"r_{g}_{h}", TupleTerm(tuple(map(NameRef, (
+            f"r_{g}_{h}", f"a{g}", f"n{h}", f"a{group.mul(g, h)}"
+        ))))) for g in elements for h in elements
+    ]
     u = Universe()
-
-    ext = {("num", i): [("num", j) for j in range(i)] for i in range(n)}
-    phi = u.realize(ext, {})
-    numerals = tuple(phi[("num", i)] for i in range(n))
-
-    atoms = tuple(u.add_quine_atom(label=f"a{g}") for g in range(n))
-
-    gadgets: dict[tuple[int, int], int] = {}
-    for g in range(n):
-        for h in range(n):
-            gadgets[(g, h)] = make_cyclic_tuple(
-                u, atoms[g], numerals[h], atoms[group.mul(g, h)]
-            )
-
-    closure: set[int] = set()
-    for i in atoms + tuple(gadgets.values()):
-        closure |= u._transitive_closure(i)
-    root = u.add_set(sorted(closure))
-    return AgArtifact(group, u, root, atoms, numerals, gadgets)
+    ids = flatten_into(HslProgram(tuple(statements)), u)
+    # The fresh universe holds exactly the transitive closure of A_G.
+    root = u.add_set(list(u.sets))
+    return AgArtifact(group, u, root, tuple(ids[f"a{g}"] for g in elements),
+                      tuple(ids[f"n{h}"] for h in elements),
+                      {(g, h): ids[f"r_{g}_{h}"] for g in elements for h in elements})
 
 
 @dataclass

@@ -15,7 +15,7 @@ semantics, where they mint labeled Quine atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from .apg import Apg, _bfs, _parent_sets, _postorder, trim_to_accessible
 from .boffa import Universe
@@ -241,17 +241,13 @@ def _run(gen):
 class _GraphBuilder:
     """Desugars a program into one big membership graph over node keys."""
 
-    def __init__(self, program: HslProgram):
-        self.children: dict = {}
+    def __init__(self, program: HslProgram, old_names=None, old_children=None):
+        # Names bound before the program, to keys of the old graph.
+        self.children: dict = dict(old_children or {})
         self.serial = 0
         self.edges = 0  # edges emitted so far, held to FLATTEN_EDGE_BUDGET
-        self.alias: dict[str, object] = {}  # name -> node key or alias chain
-        known = set(program.defined_names) | set(program.atom_names)
-        for stmt in program.statements:
-            if isinstance(stmt, AtomDecl):
-                key = ("atom", stmt.name)
-                self.children[key] = [key]
-                self.alias[stmt.name] = key
+        self.alias: dict[str, object] = dict(old_names or {})  # name -> key or alias chain
+        known = set(program.defined_names) | set(self.alias)
         for stmt in program.statements:
             if isinstance(stmt, Definition):
                 self.alias[stmt.name] = _run(self._term_key(stmt.term, known))
@@ -354,23 +350,37 @@ def flatten(program: HslProgram, names: Optional[Iterable[str]] = None) -> dict[
     return out
 
 
-def flatten_into(program: HslProgram, universe: Universe) -> dict[str, int]:
-    """Insert the program into a Boffa universe; returns name -> set-id.
+def flatten_into(
+    program: HslProgram, universe: Universe, given: Optional[Mapping[str, int]] = None
+) -> dict[str, int]:
+    """Insert the program into a Boffa universe; returns name -> set-id for
+    its defined and declared names.
 
-    Declared atoms mint fresh labeled Quine atoms.  Literal duplicates in
-    the desugared graph are merged first (the same members force the same
-    set), then the graph is realized over the minted atoms.
+    ``given`` binds further names to sets already in the universe.  Those
+    sets with their transitive closure, and the declared atoms, are the old
+    keys ``("old", id or name)``; atoms mint fresh labeled Quine atoms once
+    every check has passed.  Literal duplicates in the desugared graph are
+    merged first (the same members force the same set), then the graph is
+    realized over the old keys.  Old keys win every merge and their child
+    sets differ, so each is its own representative.
     """
-    builder = _GraphBuilder(program)
+    given = given or {}
+    defined, atoms = program.defined_names, program.atom_names
+    for name, i in given.items():
+        if name in defined or name in atoms:
+            raise DuplicateDefinition(f"given name {name!r} is also defined")
+        if i not in universe:
+            raise ValueError(f"given id {i} for {name!r} is not in the universe")
+    closure = set().union(*map(universe._transitive_closure, given.values()))
+    old_children = {("old", i): [("old", c) for c in universe.members(i)] for i in closure}
+    old_children.update({("old", a): [("old", a)] for a in atoms})
+    old_names = {name: ("old", k) for name, k in [*given.items(), *zip(atoms, atoms)]}
+    builder = _GraphBuilder(program, old_names, old_children)
     rep = _merge_duplicates(builder.children)
-    # Atom keys win every merge and their child sets differ, so each is its
-    # own representative.
-    old = {("atom", name): universe.add_quine_atom(label=name) for name in program.atom_names}
+    old = {("old", i): i for i in closure}
+    old.update({("old", a): universe.add_quine_atom(label=a) for a in atoms})
     phi = universe.realize(builder.children, old)
-    return {
-        name: phi[rep[builder.node_of[name]]]
-        for name in program.defined_names + program.atom_names
-    }
+    return {name: phi[rep[builder.node_of[name]]] for name in defined + atoms}
 
 
 def _merge_duplicates(children: dict) -> dict:
@@ -378,8 +388,9 @@ def _merge_duplicates(children: dict) -> dict:
     mutating ``children``; returns the key -> representative map.
 
     Extensionality forces these identifications; distinct self-membered
-    nodes survive because their child sets differ as key sets.  Atom keys
-    win representative elections so declared atoms keep their identity.
+    nodes survive because their child sets differ as key sets.  Old keys
+    (declared atoms and given sets) win representative elections so they
+    keep their identity.
     """
     rep = {k: k for k in children}
     while True:
@@ -390,8 +401,7 @@ def _merge_duplicates(children: dict) -> dict:
         for members in groups.values():
             if len(members) < 2:
                 continue
-            atoms = [k for k in members if k[0] == "atom"]
-            winner = atoms[0] if atoms else members[0]
+            winner = next((k for k in members if k[0] == "old"), members[0])
             for k in members:
                 if k is not winner:
                     merges[k] = winner

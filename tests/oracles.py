@@ -515,3 +515,41 @@ def order_eight_groups() -> dict[str, list[list[int]]]:
         "d4": _table(pairs, lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4, x[1] ^ y[1])),
         "q8": _table(units, _quaternion_product),
     }
+
+
+def a_g_picture(rows) -> Apg:
+    """The picture of A_G written out from its definition, for the group
+    with multiplication table ``rows``: a Quine atom a_g per element, the
+    von Neumann numerals, and r(g, h) = <r(g, h), a_g, h, a_(g*h)> with
+    right-nested Kuratowski pairs, under a root whose members are all of
+    them.  Sets with the same members are stored once, so {a_g} is a_g;
+    each r(g, h) and the two sets inside it that contain it are new."""
+    children: list[frozenset] = []
+    stored: dict[frozenset, int] = {}
+
+    def new(members=()) -> int:
+        children.append(frozenset(members))
+        return len(children) - 1
+
+    def node(members) -> int:
+        members = frozenset(members)
+        if members not in stored:
+            stored[members] = new(members)
+        return stored[members]
+
+    def pair(a: int, b: int) -> int:
+        return node({node({a}), node({a, b})})
+
+    n = len(rows)
+    for g in range(n):
+        stored[frozenset({g})] = new({g})
+    numerals: list[int] = []
+    for _ in range(n):
+        numerals.append(node(numerals))
+    for g in range(n):
+        for h in range(n):
+            r = new()
+            tail = pair(g, pair(numerals[h], rows[g][h]))
+            children[r] = frozenset({new({r}), new({r, tail})})
+    root = new(range(len(children)))
+    return Apg(tuple(children), root)

@@ -246,6 +246,35 @@ class TestValidationAndJson:
         with pytest.raises(ValueError):
             apg_from_json(data)
 
+    @pytest.mark.parametrize("data, message", [
+        pytest.param({"nodes": ["a"], "edges": [], "root": "a", "labels": {"9": "x"}},
+                     "KeyError\\('9'\\)", id="label-on-unknown-node"),
+        pytest.param({"nodes": ["a"], "edges": [], "root": "a", "labels": {"a": 1}},
+                     "must be strings", id="label-not-string"),
+        pytest.param({"nodes": ["a"], "edges": [["a", "b"]], "root": "a"}, "unknown node",
+                     id="edge-to-unknown"),
+        pytest.param({"nodes": ["a"], "edges": [["b", "a"]], "root": "a"}, "unknown node",
+                     id="edge-from-unknown"),
+        pytest.param({"nodes": ["a", "a"], "edges": [], "root": "a"}, "duplicate node ids",
+                     id="duplicate-node"),
+        pytest.param({"nodes": ["a"], "edges": [], "root": "b"}, "unknown root", id="unknown-root"),
+        pytest.param({"nodes": ["a", "b"], "edges": [], "root": "a"}, "unreachable",
+                     id="unreachable-node"),
+        pytest.param({"nodes": ["a"], "edges": [["a", "a", "a"]], "root": "a"}, "unpack",
+                     id="edge-not-pair"),
+        pytest.param({"nodes": ["a"], "edges": []}, "malformed graph", id="no-root"),
+        pytest.param({"nodes": [["a"]], "edges": [], "root": "a"}, "malformed graph",
+                     id="unhashable-node"),
+        pytest.param({"nodes": ["a"], "edges": [[["a"], "a"]], "root": "a"}, "malformed graph",
+                     id="unhashable-edge-end"),
+        pytest.param({"nodes": ["a"], "edges": 5, "root": "a"}, "malformed graph",
+                     id="edges-not-list"),
+        pytest.param("graph", "malformed graph", id="not-an-object"),
+    ])
+    def test_json_rejects_malformed(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            apg_from_json(data)
+
     def test_json_labels_survive(self):
         g = Apg((fs([0]),), 0, {0: "atom"})
         assert apg_from_json(apg_to_json(g)).labels == {0: "atom"}

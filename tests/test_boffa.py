@@ -275,6 +275,31 @@ class TestJson:
         assert v.labels == u.labels
         assert v.next_id == u.next_id
 
+    @pytest.mark.parametrize("data, message", [
+        pytest.param({"nodes": ["0"], "edges": [["7", "0"]]}, "unknown id", id="edge-from-unknown"),
+        pytest.param({"nodes": ["0"], "edges": [["0", "7"]]}, "unknown id", id="dangling-member"),
+        pytest.param({"nodes": ["0", "1"], "edges": []}, "same members", id="equal-member-sets"),
+        pytest.param({"nodes": ["0"], "edges": [["0", "0"], ["0", "0"]]}, "duplicate edge",
+                     id="duplicate-edge"),
+        pytest.param({"nodes": ["0", "0"], "edges": []}, "duplicate set ids", id="duplicate-id"),
+        pytest.param({"nodes": ["0"], "edges": [], "atoms": {"0": None}}, "not one",
+                     id="empty-set-as-atom"),
+        pytest.param({"nodes": ["0"], "edges": [], "atoms": {"5": None}}, "not one",
+                     id="unknown-atom"),
+        pytest.param({"nodes": ["0"], "edges": [["0", "0"]], "atoms": {"0": 3}}, "not a string",
+                     id="atom-label-not-string"),
+        pytest.param({"nodes": ["x"], "edges": []}, "invalid literal", id="id-not-integer"),
+        pytest.param({"nodes": ["0"], "edges": [["0"]]}, "unpack", id="edge-not-pair"),
+        pytest.param({"edges": []}, "malformed universe", id="no-nodes"),
+        pytest.param({"nodes": 3, "edges": []}, "malformed universe", id="nodes-not-list"),
+        pytest.param({"nodes": ["0"], "edges": [], "atoms": []}, "malformed universe",
+                     id="atoms-not-object"),
+        pytest.param(["nodes"], "malformed universe", id="not-an-object"),
+    ])
+    def test_from_json_rejects_malformed(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            Universe.from_json(data)
+
     def test_snapshot_isolation(self):
         u = Universe()
         u.add_quine_atom()

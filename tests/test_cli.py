@@ -19,6 +19,7 @@ from hypersets.cli import (
     EXIT_UNEQUAL,
     main,
 )
+from hypersets.grouplab import PRESET_NAMES
 from hypersets.hsl import flatten, parse
 
 from oracles import generated_group, order_eight_groups
@@ -493,3 +494,12 @@ class TestDocsCorpus:
             assert code == EXIT_OK, path
             want = (DOCS / "golden" / f"{stem}.{mode}.txt").read_text(encoding="utf-8")
             assert out == want, f"golden drift for {path.name}"
+
+    def test_group_goldens(self, capsys):
+        goldens = sorted((DOCS / "golden").glob("group-*.json"))
+        assert len(goldens) == len(PRESET_NAMES)
+        for path in goldens:
+            preset = path.stem.removeprefix("group-")
+            code, out = run(capsys, "group", "--preset", preset, "--json")
+            assert code == EXIT_OK, path
+            assert out == path.read_text(encoding="utf-8"), f"golden drift for {path.name}"

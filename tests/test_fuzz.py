@@ -3,11 +3,12 @@ code (0, 1, 2, 3, 10 or 11), never in a traceback, and within a wall-clock
 bound.
 
 The draws cover random bytes (invalid UTF-8 included), programs from a
-small grammar, and REPL sessions.  They leave out ``aut``, ``:aut``,
-``:rigid``, ``wf`` and ``group`` and declare at most six atoms: those
-commands list whole automorphism groups, and k interchangeable atoms give
-k! elements, so their running time is bounded by the group order and not
-by the input size.
+small grammar, REPL sessions, and ``group --table`` files of order at most
+5.  They leave out ``aut``, ``:aut``, ``:rigid`` and ``wf`` and declare at
+most six atoms: those commands list whole automorphism groups, and k
+interchangeable atoms give k! elements, so their running time is bounded
+by the group order and not by the input size.  A_G's automorphism group
+is the drawn group itself, of order at most 5.
 
 Every command runs with ``--cap 128``, which bounds only FAFA partitions
 and isomorphism search.  FAFA canonicalization compares sub-APGs pair by
@@ -18,6 +19,8 @@ in FAFA mode at the default cap, against 0.05 s in AFA mode.
 
 import contextlib
 import io
+import itertools
+import json
 import os
 import sys
 import tempfile
@@ -43,7 +46,7 @@ DEFINED = NAMES[:5]
 ATOMS = [f"t{i}" for i in range(6)]
 
 
-def run_cli(argv, stdin_text=None) -> int:
+def run_cli(argv, stdin_text=None) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     if stdin_text is not None:
@@ -61,7 +64,7 @@ def run_cli(argv, stdin_text=None) -> int:
     assert code in EXIT_CODES, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
     assert elapsed < WALL_S, (argv, elapsed)
-    return code
+    return code, out.getvalue()
 
 
 def _nest(depth_and_term) -> str:
@@ -170,4 +173,56 @@ def test_repl_sessions(data):
     with tempfile.TemporaryDirectory() as tmp:
         lines = data.draw(st.lists(repl_lines(os.path.join(tmp, "pic.dot")), max_size=10))
         for mode in MODES:
-            assert run_cli(["repl", "--mode", mode, *CAP], "\n".join(lines) + "\n") == 0
+            assert run_cli(["repl", "--mode", mode, *CAP], "\n".join(lines) + "\n")[0] == 0
+
+
+@st.composite
+def group_documents(draw):
+    """A ``group --table`` document of order 0 to 5: one time in three a
+    cyclic group or the Klein four-group with its elements relabelled,
+    otherwise rows of entries from -1 to 6, some of them ragged.  One order
+    field in four is drawn on its own, so it is mostly wrong."""
+    if draw(st.integers(0, 2)) == 0:
+        n = draw(st.integers(1, 5))
+        klein = n == 4 and draw(st.booleans())
+        p = draw(st.permutations(range(n)))
+        rows = [[0] * n for _ in range(n)]
+        for i, j in itertools.product(range(n), repeat=2):
+            rows[p[i]][p[j]] = p[i ^ j if klein else (i + j) % n]
+    else:
+        n = draw(st.integers(0, 5))
+        square = st.lists(st.integers(-1, 6), min_size=n, max_size=n)
+        ragged = st.lists(st.integers(-1, 6), max_size=6)
+        rows = draw(st.lists(st.one_of(square, square, ragged), min_size=n, max_size=n))
+    order = len(rows) if draw(st.integers(0, 3)) else draw(st.one_of(st.integers(-1, 7), st.none()))
+    return {"order": order, "table": rows}
+
+
+def is_group(doc) -> bool:
+    """The document holds a square table over 0..n-1, n >= 1, with an
+    identity, associative, with inverses, and its order field is n."""
+    rows, n = doc["table"], len(doc["table"])
+    elements = range(n)
+    if doc["order"] != n or n == 0 or any(len(r) != n or not set(r) <= set(elements) for r in rows):
+        return False
+    ids = [e for e in elements if all(rows[e][x] == x == rows[x][e] for x in elements)]
+    return bool(ids) and all(
+        rows[rows[x][y]][z] == rows[x][rows[y][z]] for x in elements for y in elements for z in elements
+    ) and all(any(rows[x][y] == ids[0] == rows[y][x] for y in elements) for x in elements)
+
+
+@given(group_documents())
+@settings(FUZZ, max_examples=80)
+def test_group_tables(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(tmp, json.dumps(doc).encode())
+        code, out = run_cli(["group", "--table", path, "--json"])
+        assert run_cli(["group", "--table", path])[0] == code
+    assert code in {0, 2, 3}
+    if is_group(doc):
+        assert code == 0
+        report = json.loads(out)
+        assert report["automorphism_count"] == report["group_order"] == len(doc["table"])
+        assert report["isomorphic_to_input"] is True
+    else:
+        assert code == 2

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from hypersets.apg import pointed_isomorphic
 from hypersets.boffa import Universe
 from hypersets.errors import GroupTooLarge, OrderTooLarge, SizeLimitExceeded
 from hypersets.grouplab import (
@@ -18,7 +19,7 @@ from hypersets.grouplab import (
     preset_group,
     symmetric_group_3,
 )
-from oracles import order_eight_groups
+from oracles import a_g_picture, order_eight_groups
 
 
 def vn_pair_universe():
@@ -148,6 +149,19 @@ class TestBuildAG:
         assert u.members(art.root) == frozenset(expected)
         assert set(art.numeral_ids) <= expected
         assert u._transitive_closure(art.root) == expected | {art.root}
+
+    @pytest.mark.parametrize("name, nodes", [
+        ("z1", 11), ("z2", 34), ("z3", 72), ("z4", 124), ("v4", 124), ("s3", 270),
+        *((k, 472) for k in order_eight_groups()),
+    ])
+    def test_picture_matches_independent_construction(self, name, nodes):
+        eights = order_eight_groups()
+        group = GroupTable.from_rows(eights[name]) if name in eights else preset_group(name)
+        art = build_A_G(group)
+        pic = art.universe.picture_of(art.root)
+        want = a_g_picture(group.table)
+        assert pic.node_count == want.node_count == nodes
+        assert pointed_isomorphic(pic, want) is not None
 
     def test_group_cap(self):
         with pytest.raises(GroupTooLarge) as info:

@@ -15,6 +15,7 @@ from hypersets.errors import (
     UndefinedName,
 )
 from hypersets import hsl
+from hypersets.grouplab import decode_pair, make_order_gadget
 from hypersets.hsl import flatten, flatten_into, parse, unparse
 from hypersets.random_graphs import random_apg
 
@@ -142,6 +143,59 @@ class TestFlattenIntoBoffa:
         u = Universe()
         ids = flatten_into(parse("x = {x}; y = {y};"), u)
         assert ids["x"] != ids["y"]
+
+
+class TestFlattenIntoGivenIds:
+    """Names bound to sets already in the universe."""
+
+    def test_given_quine_atoms_merge(self):
+        u = Universe()
+        a, b = u.add_quine_atom(), u.add_quine_atom()
+        ab = u.add_set([a, b])
+        size = len(u)
+        ids = flatten_into(parse("x = {a}; y = {{a}, b}; p = <a, b>;"), u, {"a": a, "b": b})
+        assert set(ids) == {"x", "y", "p"}
+        assert ids["x"] == a and ids["y"] == ab
+        assert u.members(ids["p"]) == fs([a, ab])
+        assert len(u) == size + 1
+        u.check_extensionality()
+
+    def test_given_ill_founded_set(self):
+        u = Universe()
+        zero = u.add_set([])
+        g = make_order_gadget(u, zero, zero)
+        before = {i: u.members(i) for i in u._transitive_closure(g)}
+        ids = flatten_into(parse("r = <r, g>; s = {g, z};"), u, {"g": g, "z": zero})
+        assert decode_pair(u, ids["r"]) == (ids["r"], g)
+        assert ids["s"] == u.add_set([g, zero])
+        assert flatten_into(parse("t = {z, g};"), u, {"g": g, "z": zero})["t"] == ids["s"]
+        assert all(u.members(i) == m for i, m in before.items())
+        u.check_extensionality()
+
+    def test_given_names_map_to_one_id(self):
+        u = Universe()
+        a = u.add_quine_atom()
+        ids = flatten_into(parse("x = {b, c};"), u, {"b": a, "c": a})
+        assert ids["x"] == a
+
+    FAILING = {
+        "undefined name": ("atom t; x = {g, nope};", {}, UndefinedName, "'nope'"),
+        "alias cycle": ("atom t; x = y; y = x;", {}, ValueError, "alias cycle"),
+        "given name defined": ("atom t; g = {t};", {}, DuplicateDefinition, "'g'"),
+        "given name declared": ("atom g; x = {g};", {}, DuplicateDefinition, "'g'"),
+        "unknown id": ("atom t; x = {h};", {"h": 999}, ValueError, "999"),
+    }
+
+    @pytest.mark.parametrize("case", FAILING)
+    def test_failing_call_leaves_store_unchanged(self, case):
+        text, extra, exc, message = self.FAILING[case]
+        u = Universe()
+        a = u.add_quine_atom()
+        given = {"g": make_order_gadget(u, a, u.add_set([])), **extra}
+        before = (dict(u.sets), dict(u._by_members), u.next_id)
+        with pytest.raises(exc, match=message):
+            flatten_into(parse(text), u, given)
+        assert (u.sets, u._by_members, u.next_id) == before
 
 
 class TestUnparse:
