@@ -436,58 +436,79 @@ def isomorphisms(ch1, colors1, ch2, colors2) -> Iterator[tuple[int, ...]]:
     colour must have equal out-degrees (``_stable_colors`` gives both).
     Self-loops are never checked directly: every other edge is, so a
     degree-preserving map carries loops onto loops.
+
+    A caller may ``send`` a depth d back for a leaf: the search then cuts
+    back to depth d, keeping the images of the first d nodes of the order
+    and trying the next image for node d, so no further leaf of the
+    current subtree at depth d is produced.  ``_search_with_order`` also
+    gives the order, from which such a caller picks d.
     """
+    return _search_with_order(ch1, colors1, ch2, colors2)[0]
+
+
+def _search_with_order(ch1, colors1, ch2, colors2):
+    """``isomorphisms``' generator and the order in which it maps the nodes
+    of graph 1."""
     n = len(ch1)
-    if n != len(ch2):
-        return
-    if n == 0:
-        yield ()
-        return
     par1, par2 = _parent_sets(ch1), _parent_sets(ch2)
     by_color: dict[int, list[int]] = {}
-    for w in range(n):
+    for w in range(len(ch2)):
         by_color.setdefault(colors2[w], []).append(w)
     # Class sizes are read in graph 2: where they differ, no map exists.
     order = _search_order(
         ch1, par1, [len(by_color.get(colors1[u], ())) for u in range(n)]
     )
-    fwd = [-1] * n
-    rev = [-1] * n
 
-    def consistent(u: int, w: int) -> bool:
-        for c in ch1[u]:
-            if fwd[c] >= 0 and fwd[c] not in ch2[w]:
-                return False
-        for p in par1[u]:
-            if fwd[p] >= 0 and w not in ch2[fwd[p]]:
-                return False
-        for c in ch2[w]:
-            if rev[c] >= 0 and rev[c] not in ch1[u]:
-                return False
-        for p in par2[w]:
-            if rev[p] >= 0 and u not in ch1[rev[p]]:
-                return False
-        return True
+    def leaves() -> Iterator[tuple[int, ...]]:
+        if n != len(ch2):
+            return
+        if n == 0:
+            yield ()
+            return
+        fwd = [-1] * n
+        rev = [-1] * n
 
-    # Depth-first over an explicit stack of candidate iterators, one per
-    # mapped node, so the depth is not bounded by Python's recursion limit.
-    stack = [iter(by_color.get(colors1[order[0]], ()))]
-    while stack:
-        u = order[len(stack) - 1]
-        if fwd[u] >= 0:  # undo this depth's previous choice
-            rev[fwd[u]] = -1
-            fwd[u] = -1
-        for w in stack[-1]:
-            if rev[w] < 0 and consistent(u, w):
-                fwd[u], rev[w] = w, u
-                break
-        else:
-            stack.pop()
-            continue
-        if len(stack) == n:
-            yield tuple(fwd)
-        else:
-            stack.append(iter(by_color.get(colors1[order[len(stack)]], ())))
+        def consistent(u: int, w: int) -> bool:
+            for c in ch1[u]:
+                if fwd[c] >= 0 and fwd[c] not in ch2[w]:
+                    return False
+            for p in par1[u]:
+                if fwd[p] >= 0 and w not in ch2[fwd[p]]:
+                    return False
+            for c in ch2[w]:
+                if rev[c] >= 0 and rev[c] not in ch1[u]:
+                    return False
+            for p in par2[w]:
+                if rev[p] >= 0 and u not in ch1[rev[p]]:
+                    return False
+            return True
+
+        # Depth-first over an explicit stack of candidate iterators, one per
+        # mapped node, so the depth is not bounded by Python's recursion limit.
+        stack = [iter(by_color.get(colors1[order[0]], ()))]
+        while stack:
+            u = order[len(stack) - 1]
+            if fwd[u] >= 0:  # undo this depth's previous choice
+                rev[fwd[u]] = -1
+                fwd[u] = -1
+            for w in stack[-1]:
+                if rev[w] < 0 and consistent(u, w):
+                    fwd[u], rev[w] = w, u
+                    break
+            else:
+                stack.pop()
+                continue
+            if len(stack) == n:
+                depth = yield tuple(fwd)
+                if depth is not None:
+                    for v in order[depth + 1:]:
+                        rev[fwd[v]] = -1
+                        fwd[v] = -1
+                    del stack[depth + 1:]
+            else:
+                stack.append(iter(by_color.get(colors1[order[len(stack)]], ())))
+
+    return leaves(), order
 
 
 def pointed_isomorphic(

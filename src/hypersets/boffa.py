@@ -185,11 +185,14 @@ class Universe:
 
     def picture_of(self, x: int) -> Apg:
         """The canonical picture of x: its transitive closure rooted at x."""
+        return self._picture(x)[0]
+
+    def _picture(self, x: int) -> tuple[Apg, dict[int, int]]:
+        """``picture_of(x)`` and the map from set ids to its nodes."""
         tc = self._transitive_closure(x)
         raw = {i: sorted(self.sets[i]) for i in tc}
         labels = {i: self.labels[i] for i in tc if i in self.labels}
-        g, _ = trim_to_accessible(raw, x, labels)
-        return g
+        return trim_to_accessible(raw, x, labels)
 
     def is_well_founded_id(self, x: int) -> bool:
         """True iff no membership cycle is reachable from x."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .apg import (
@@ -22,10 +23,9 @@ from .apg import (
     Partition,
     _iso_classes,
     _quotient,
-    _reduce_generators,
     _refine,
+    _search_with_order,
     _stable_colors,
-    isomorphisms,
 )
 from .equivalence import _finsler_classes
 from .errors import SizeLimitExceeded
@@ -178,41 +178,100 @@ def is_canonical_picture(
 
 @dataclass(frozen=True)
 class AutomorphismGroup:
-    """Root-preserving automorphisms of an APG, as permutation tuples."""
+    """Root-preserving automorphisms of an APG on ``degree`` nodes, as
+    permutation tuples.
+
+    ``generators`` is irredundant, deepest stabilizer level first: none
+    lies in the group generated by those before it.  ``elements`` lists
+    the whole group, sorted, and is built only when first read.
+    """
 
     order: int
     generators: tuple[tuple[int, ...], ...]
-    elements: tuple[tuple[int, ...], ...]
+    degree: int
+
+    @cached_property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        identity = tuple(range(self.degree))
+        seen = {identity}
+        frontier = [identity]
+        for p in frontier:
+            for gen in self.generators:
+                q = tuple(p[i] for i in gen)
+                if q not in seen:
+                    seen.add(q)
+                    frontier.append(q)
+        return tuple(sorted(seen))
 
 
 def automorphisms(g: Apg, cap: int = DEFAULT_ISO_CAP) -> AutomorphismGroup:
-    """All root-preserving edge-preserving node permutations of g, sorted.
+    """The root-preserving automorphisms of g, from a stabilizer chain read
+    off the one search, without listing the group.
 
-    The group is enumerated explicitly, so this is only meant for graphs
-    whose automorphism group is small.
+    The search maps the nodes in a fixed order, the chain's base b_0, b_1,
+    ...  Each leaf is sent back to the first depth d at which it moves a
+    node, so below images that fix b_0 .. b_(d-1) the search finds one
+    automorphism per image of b_d other than b_d: one coset representative
+    of the stabilizer of b_0 .. b_d in that of b_0 .. b_(d-1).  The order
+    is the product of the chain's orbit sizes, one plus the representatives
+    at each depth, as in Sims' method (Seress, *Permutation Group
+    Algorithms*, 2003); individualizing along the search follows McKay &
+    Piperno (J. Symb. Comput. 2014).  Going from the deepest level up, a
+    representative is dropped when the others kept at its level, with the
+    deeper generators, still reach b_d's whole orbit.
     """
-    perms = sorted(_automorphism_search(g, cap))
-    return AutomorphismGroup(
-        order=len(perms),
-        generators=tuple(_reduce_generators(perms, g.node_count)),
-        elements=tuple(perms),
-    )
+    search, base = _automorphism_search(g, cap)
+    reps: dict[int, list[tuple[int, ...]]] = {}
+    depth = None
+    while True:
+        try:
+            leaf = search.send(depth)
+        except StopIteration:
+            break
+        depth = next((d for d, u in enumerate(base) if leaf[u] != u), None)
+        if depth is not None:
+            reps.setdefault(depth, []).append(leaf)
+    order = 1
+    gens: list[tuple[int, ...]] = []
+    for depth in sorted(reps, reverse=True):
+        orbit_size = len(reps[depth]) + 1
+        order *= orbit_size
+        kept = reps[depth]
+        for p in reps[depth]:
+            rest = [q for q in kept if q is not p]
+            if len(_orbit(base[depth], gens + rest)) == orbit_size:
+                kept = rest
+        gens += kept
+    return AutomorphismGroup(order=order, generators=tuple(gens), degree=g.node_count)
+
+
+def _orbit(point: int, perms: list[tuple[int, ...]]) -> set[int]:
+    """The orbit of point under the group the permutations generate."""
+    orbit = {point}
+    frontier = [point]
+    for x in frontier:
+        for p in perms:
+            if p[x] not in orbit:
+                orbit.add(p[x])
+                frontier.append(p[x])
+    return orbit
 
 
 def is_rigid(g: Apg, cap: int = DEFAULT_ISO_CAP) -> bool:
     """True iff the identity is the only root-preserving automorphism."""
     identity = tuple(range(g.node_count))
-    return all(p == identity for p in _automorphism_search(g, cap))
+    return all(p == identity for p in _automorphism_search(g, cap)[0])
 
 
 def _automorphism_search(g: Apg, cap: int):
-    """The automorphisms of g, lazily, from colours that fix the root."""
+    """The one search over the automorphisms of g, from colours that fix
+    the root, and the order in which it maps the nodes (the chain's base)."""
     if g.node_count > cap:
         raise SizeLimitExceeded(f"automorphism search capped at {cap} nodes")
     init = [0] * g.node_count
     init[g.root] = 1  # the root is fixed by every automorphism
     colors = _stable_colors(g.children, init)
-    return isomorphisms(g.children, colors, g.children, colors)
+    return _search_with_order(g.children, colors, g.children, colors)
 
 
 def to_dot(g: Apg, name: str = "hyperset") -> str:

@@ -253,15 +253,14 @@ def cmd_group(args) -> int:
     art = build_A_G(group, cap=args.group_cap)
     rep = aut_group_of(art, cap=args.cap)
     iso = groups_isomorphic(rep.table, group)
-    pic = art.universe.picture_of(art.root)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(pic, name="A_G"))
+            fh.write(to_dot(rep.picture, name="A_G"))
     doc = {
         "group_order": group.order,
         "automorphism_count": rep.automorphism_count,
         "isomorphic_to_input": iso,
-        "picture_nodes": pic.node_count,
+        "picture_nodes": rep.picture.node_count,
     }
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -269,7 +268,7 @@ def cmd_group(args) -> int:
         print(f"group order {group.order}")
         print(f"automorphism count {rep.automorphism_count}")
         print(f"isomorphic to input {iso}")
-        print(f"picture nodes {pic.node_count}")
+        print(f"picture nodes {rep.picture.node_count}")
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .apg import DEFAULT_ISO_CAP, _reduce_generators, trim_to_accessible
+from .apg import DEFAULT_ISO_CAP, Apg, _reduce_generators
 from .boffa import Universe
 from .canon import automorphisms
 from .errors import GroupTooLarge, OrderTooLarge
@@ -219,28 +219,29 @@ class AutGroupReport:
     table: GroupTable
     translations: dict[int, dict[int, int]]  # g -> automorphism as id map
     automorphism_count: int
+    picture: Apg  # the picture of A_G searched, as ``Universe.picture_of`` gives it
 
 
 def aut_group_of(art: AgArtifact, cap: int = DEFAULT_ISO_CAP) -> AutGroupReport:
-    """Compute Aut(A_G) exhaustively and identify it with left translations.
+    """Compute Aut(A_G) and identify it with left translations.
 
-    Each automorphism of the picture of A_G is translated back to a set-id
-    permutation, then checked to fix every numeral, permute the atoms by a
-    left translation pi, and send r(g, h) to r(pi(g), h).  The composition
-    table of the automorphisms is returned as a GroupTable.
+    The group's order is read off the stabilizer chain and must equal |G|
+    before any element is listed.  Each automorphism of the picture of A_G
+    is then translated back to a set-id permutation, and checked to fix
+    every numeral, permute the atoms by a left translation pi, and send
+    r(g, h) to r(pi(g), h).  The composition table of the automorphisms
+    is returned as a GroupTable.
     """
     u = art.universe
     group = art.group
     n = group.order
-    tc = sorted(u._transitive_closure(art.root))
-    raw = {i: sorted(u.members(i)) for i in tc}
-    pic, trans = trim_to_accessible(raw, art.root)
-    node_to_id = {node: i for i, node in trans.items()}
+    pic, trans = u._picture(art.root)
+    ids = list(trans)  # ids[node] is its set id: trans numbers the ids in insertion order
 
     auts = automorphisms(pic, cap=cap)
-    id_perms: list[dict[int, int]] = []
-    for perm in auts.elements:
-        id_perms.append({i: node_to_id[perm[trans[i]]] for i in tc})
+    if auts.order != n:
+        raise AssertionError(f"A_G has {auts.order} automorphisms, not {n}")
+    id_perms = [{i: ids[perm[node]] for i, node in trans.items()} for perm in auts.elements]
 
     atom_index = {a: g for g, a in enumerate(art.atom_ids)}
     translations: dict[int, dict[int, int]] = {}
@@ -274,7 +275,7 @@ def aut_group_of(art: AgArtifact, cap: int = DEFAULT_ISO_CAP) -> AutGroupReport:
         [atom_index[translations[g][translations[h][a_e]]] for h in range(n)]
         for g in range(n)
     ])
-    return AutGroupReport(table, translations, len(id_perms))
+    return AutGroupReport(table, translations, auts.order, pic)
 
 
 # --- group isomorphism --------------------------------------------------------

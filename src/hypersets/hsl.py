@@ -247,7 +247,12 @@ class _GraphBuilder:
         self.serial = 0
         self.edges = 0  # edges emitted so far, held to FLATTEN_EDGE_BUDGET
         self.alias: dict[str, object] = dict(old_names or {})  # name -> key or alias chain
-        known = set(program.defined_names) | set(self.alias)
+        bound: set[str] = set()
+        for stmt in program.statements:
+            if stmt.name in bound:
+                raise DuplicateDefinition(f"name {stmt.name!r} defined twice")
+            bound.add(stmt.name)
+        known = bound | set(self.alias)
         for stmt in program.statements:
             if isinstance(stmt, Definition):
                 self.alias[stmt.name] = _run(self._term_key(stmt.term, known))

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 from .apg import DEFAULT_ISO_CAP, Apg
-from .canon import automorphisms
+from .canon import AutomorphismGroup, automorphisms
 from .errors import NotInjective, SizeLimitExceeded
 
 DEFAULT_ELEMENT_CAP = 1 << 16
@@ -206,23 +206,45 @@ def classify_map(u: LevelledUniverse, m: ExtendedMap) -> MapReport:
 
 @dataclass
 class StructureAutomorphisms:
-    count: int
-    generators: list[dict[int, int]]
-    elements: list[dict[int, int]]
+    """The membership automorphisms of a top level, as maps on its codes.
+
+    ``group`` is the automorphism group of the picture searched: a fresh
+    root 0 over the top level, with node i + 1 for ``codes[i]``, the i-th
+    smallest code.  ``count`` and ``generators`` come from its stabilizer
+    chain; ``elements`` lists every map, in order of the codes of their
+    images, and is built only when first read.
+    """
+
+    group: AutomorphismGroup
+    codes: list[int]
+
+    @property
+    def count(self) -> int:
+        return self.group.order
+
+    @property
+    def generators(self) -> list[dict[int, int]]:
+        return [self._as_map(p) for p in self.group.generators]
+
+    @cached_property
+    def elements(self) -> list[dict[int, int]]:
+        return [self._as_map(p) for p in self.group.elements]
+
+    def _as_map(self, p: tuple[int, ...]) -> dict[int, int]:
+        codes = self.codes
+        return {c: codes[p[i] - 1] for i, c in enumerate(codes, 1)}
 
 
 def all_automorphisms(
     u: LevelledUniverse, cap: int = DEFAULT_ISO_CAP
 ) -> StructureAutomorphisms:
-    """Exhaustively enumerate the membership automorphisms of the top level,
-    in order of the codes of their images (element by element of the top).
+    """The membership automorphisms of the top level.
 
     This searches the bare digraph of the membership relation and does not
     assume anything about atom maps, so it can serve as the independent
     check that every automorphism arises from an atom permutation.  The
     picture searched has a fresh root 0 over the top level and node i + 1
-    for its i-th smallest code, so ``canon.automorphisms`` lists the maps
-    in the wanted order; the cap counts top-level elements only.
+    for its i-th smallest code; the cap counts top-level elements only.
     """
     top = u.top
     if len(top) > cap:
@@ -231,13 +253,4 @@ def all_automorphisms(
     node = {c: i + 1 for i, c in enumerate(codes)}
     children = [frozenset(node.values())]
     children += [frozenset(node[m] for m in u.members[c]) for c in codes]
-    group = automorphisms(Apg(tuple(children), 0), cap=cap + 1)
-
-    def as_map(p: tuple[int, ...]) -> dict[int, int]:
-        return {c: codes[p[node[c]] - 1] for c in top}
-
-    return StructureAutomorphisms(
-        group.order,
-        [as_map(p) for p in group.generators],
-        [as_map(p) for p in group.elements],
-    )
+    return StructureAutomorphisms(automorphisms(Apg(tuple(children), 0), cap=cap + 1), codes)

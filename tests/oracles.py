@@ -466,6 +466,18 @@ def generated_group(gens, n: int) -> set[tuple[int, ...]]:
     return seen
 
 
+def exhaustive_automorphisms(g: Apg) -> list[tuple[int, ...]]:
+    """The root-preserving automorphisms of g as ``canon.automorphisms``
+    listed them before it read a stabilizer chain: every leaf of the one
+    search, sorted.  Its cost grows with the group's order."""
+    from hypersets.apg import _stable_colors, isomorphisms
+
+    init = [0] * g.node_count
+    init[g.root] = 1
+    colors = _stable_colors(g.children, init)
+    return sorted(isomorphisms(g.children, colors, g.children, colors))
+
+
 def assert_irredundant_generators(gens, elements, n: int) -> None:
     """Each generator lies outside the group the earlier ones generate, and
     together they generate exactly the elements."""

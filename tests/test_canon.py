@@ -18,7 +18,10 @@ from hypersets.canon import (
     to_dot,
 )
 from hypersets.equivalence import counting_partition, finsler_partition, max_bisimulation
+from hypersets.boffa import Universe
 from hypersets.errors import SizeLimitExceeded
+from hypersets.grouplab import PRESET_NAMES, build_A_G, preset_group
+from hypersets.wflab import build_universe
 from hypersets.random_graphs import random_apg, random_performance_graph
 
 from oracles import (
@@ -27,6 +30,7 @@ from oracles import (
     brute_force_automorphism_count,
     brute_force_automorphisms,
     equal_by_canonical_forms,
+    exhaustive_automorphisms,
     reference_canonicalize,
     reference_equality_classes,
     reference_is_canonical_picture,
@@ -357,8 +361,6 @@ class TestAutomorphisms:
                 h, _ = trim_to_accessible(children, 0)
             aut_h = len(brute_force_automorphisms(h))
             c = rng.randint(1, 3)
-            while c > 1 and math.factorial(c) * aut_h ** c > 5000:
-                c -= 1  # the group is listed element by element
             k = h.node_count
             kids = [fs(1 + i * k + h.root for i in range(c))]
             for i in range(c):
@@ -391,6 +393,56 @@ class TestAutomorphisms:
             assert_irredundant_generators(group.generators, group.elements, g.node_count)
             orders.append(group.order)
         assert sum(order >= 3 for order in orders) >= 100
+
+    def test_chain_matches_the_exhaustive_listing(self):
+        # The stabilizer chain against every leaf of the search, listed and
+        # sorted: circulants, copies of one small graph under a root
+        # (wreath products), sets of Quine atoms with sets of atoms among
+        # their members, every preset's A_G and the WF_k(A) tops up to 16
+        # elements.  Orders stay small enough to list: the circulants are
+        # connected rings, and the wreath products are bounded by
+        # c! |Aut(H)|^c.
+        rng = random.Random(75)
+        graphs = []
+        while len(graphs) < 200:
+            k = rng.randint(1, 15)
+            steps = rng.sample(range(k), rng.randint(1, min(k, 2)))
+            if math.gcd(k, *steps) == 1:
+                kids = [fs(range(1, k + 1))] + [fs((j + d) % k + 1 for d in steps) for j in range(k)]
+                graphs.append(Apg(tuple(kids), 0))
+        while len(graphs) < 360:
+            h = random_apg(rng, 5)
+            c = rng.randint(2, 15 // h.node_count)
+            if c > 3 or math.factorial(c) * brute_force_automorphism_count(h) ** c > 2000:
+                continue
+            kids = [fs(1 + i * h.node_count + h.root for i in range(c))]
+            for i in range(c):
+                kids += [fs(1 + i * h.node_count + v for v in vs) for vs in h.children]
+            graphs.append(Apg(tuple(kids), 0))
+        for _ in range(140):
+            u = Universe()
+            atoms = [u.add_quine_atom() for _ in range(rng.randint(1, 6))]
+            extra = [u.add_set(rng.sample(atoms, rng.randint(0, len(atoms)))) for _ in range(rng.randint(0, 6))]
+            graphs.append(u.picture_of(u.add_set(atoms + extra)))
+        for name in PRESET_NAMES:
+            art = build_A_G(preset_group(name))
+            graphs.append(art.universe.picture_of(art.root))
+        for k, levels in [(0, 3), (1, 2), (2, 1), (2, 2), (3, 1), (4, 1)]:
+            w = build_universe(k, levels)
+            codes = sorted(w.top)
+            node = {c: i + 1 for i, c in enumerate(codes)}
+            kids = [fs(node.values())] + [fs(node[m] for m in w.members[c]) for c in codes]
+            graphs.append(Apg(tuple(kids), 0))
+        assert len(graphs) >= 500
+        orders = []
+        for g in graphs:
+            group = automorphisms(g)
+            perms = exhaustive_automorphisms(g)
+            assert group.order == len(perms), g.children
+            assert group.elements == tuple(perms), g.children
+            assert_irredundant_generators(group.generators, group.elements, g.node_count)
+            orders.append(group.order)
+        assert sum(order >= 6 for order in orders) >= 150
 
     def test_is_rigid_consistent_with_order(self):
         rng = random.Random(63)

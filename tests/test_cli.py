@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from hypersets.boffa import Universe
 from hypersets.canon import Semantics, equal
 from hypersets.cli import (
     EXIT_CAP,
@@ -20,7 +21,7 @@ from hypersets.cli import (
     main,
 )
 from hypersets.grouplab import PRESET_NAMES
-from hypersets.hsl import flatten, parse
+from hypersets.hsl import flatten, flatten_into, parse
 
 from oracles import generated_group, order_eight_groups
 
@@ -262,6 +263,26 @@ class TestAut:
         gen = tuple(int(x) for x in rest[0].split()[1:])
         assert len(generated_group([gen], len(gen))) == k
 
+    def test_twelve_atoms(self, capsys, program):
+        # 12! automorphisms: the order comes from the stabilizer chain, and
+        # no element is listed
+        atoms = [f"t{i}" for i in range(12)]
+        text = "".join(f"atom {a};" for a in atoms) + "s = {" + ", ".join(atoms) + "};"
+        start = time.perf_counter()
+        code, out = run(capsys, "aut", program(text), "s", "--mode", "boffa")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK
+        head, *rest = out.splitlines()
+        assert head == "automorphism order 479001600"
+        u = Universe()
+        pic = u.picture_of(flatten_into(parse(text), u)["s"])
+        gens = [tuple(int(x) for x in line.removeprefix("generator ").split()) for line in rest]
+        assert len(gens) == 11
+        for p in gens:
+            assert sorted(p) == list(range(pic.node_count))
+            assert all(frozenset(p[v] for v in kids) == pic.children[p[u]]
+                       for u, kids in enumerate(pic.children))
+
     def test_long_chain(self, capsys, program):
         # 2,401 nodes: the colour refinement that seeds the search must not
         # take one round per level
@@ -305,6 +326,14 @@ class TestWf:
         assert code == EXIT_OK
         assert "level sizes 2 4 16" in out
         assert "automorphism count 2" in out
+
+    def test_eight_atoms(self, capsys):
+        # 256 top-level elements and 8! automorphisms, none of them listed
+        start = time.perf_counter()
+        code, out = run(capsys, "wf", "--atoms", "8", "--levels", "1")
+        assert time.perf_counter() - start < 5.0
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "automorphism count 40320"
 
     def test_perm(self, capsys):
         code, out = run(capsys, "wf", "--atoms", "2", "--levels", "2", "--perm", "(0 1)")

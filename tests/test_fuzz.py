@@ -3,24 +3,28 @@ code (0, 1, 2, 3, 10 or 11), never in a traceback, and within a wall-clock
 bound.
 
 The draws cover random bytes (invalid UTF-8 included), programs from a
-small grammar, REPL sessions, and ``group --table`` files of order at most
-5.  They leave out ``aut``, ``:aut``, ``:rigid`` and ``wf`` and declare at
-most six atoms: those commands list whole automorphism groups, and k
-interchangeable atoms give k! elements, so their running time is bounded
-by the group order and not by the input size.  A_G's automorphism group
-is the drawn group itself, of order at most 5.
+small grammar, REPL sessions, sets of up to twelve Quine atoms, ``wf`` flag
+vectors, and ``group --table`` files of order at most 5.  Programs go
+through ``solve`` and ``eq`` in every mode and ``aut`` in a drawn one, and
+REPL sessions also ask ``:aut`` and ``:rigid``.  Twelve interchangeable
+atoms have 12! automorphisms, which the stabilizer chain counts without
+listing them.  A_G's automorphism group is the drawn group itself, of
+order at most 5.
 
-Every command runs with ``--cap 128``, which bounds only FAFA partitions
-and isomorphism search.  FAFA canonicalization compares sub-APGs pair by
-pair, so its time grows about quadratically up to the default cap of 512
-nodes: a five-definition program of about 500 nodes drawn here took 5 s
-in FAFA mode at the default cap, against 0.05 s in AFA mode.
+Every program command runs with ``--cap 128``, which bounds only FAFA
+partitions and isomorphism search.  FAFA canonicalization compares sub-APGs
+pair by pair, so its time grows about quadratically up to the default cap
+of 512 nodes: a five-definition program of about 500 nodes drawn here took
+5 s in FAFA mode at the default cap, against 0.05 s in AFA mode.  ``wf``
+draws its element cap up to 4,096: at the default of 2^16, building and
+classifying a full stage takes up to about 2 s, the wall-clock bound.
 """
 
 import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -146,12 +150,14 @@ def test_random_bytes(data):
         solve_and_eq(write(tmp, data), "n0", "x")
 
 
-@given(programs())
+@given(programs(), st.sampled_from(MODES))
 @settings(FUZZ, max_examples=50)
-def test_grammar_programs(program):
+def test_grammar_programs(program, aut_mode):
     text, a, b = program
     with tempfile.TemporaryDirectory() as tmp:
-        solve_and_eq(write(tmp, text.encode()), a, b)
+        path = write(tmp, text.encode())
+        solve_and_eq(path, a, b)
+        run_cli(["aut", path, a, "--mode", aut_mode, *CAP])
 
 
 def repl_lines(picture_path: str):
@@ -160,6 +166,8 @@ def repl_lines(picture_path: str):
         statements,
         st.tuples(name, name).map(lambda t: f":eq {t[0]} {t[1]}"),
         name.map(lambda a: f":canon {a}"),
+        name.map(lambda a: f":aut {a}"),
+        name.map(lambda a: f":rigid {a}"),
         st.sampled_from(MODES + ("bogus",)).map(lambda m: f":mode {m}"),
         name.map(lambda a: f":picture {a} {picture_path}"),
         st.sampled_from([":eq n0", ":canon", ":canon n0 n1", ":mode", ":picture n0",
@@ -174,6 +182,63 @@ def test_repl_sessions(data):
         lines = data.draw(st.lists(repl_lines(os.path.join(tmp, "pic.dot")), max_size=10))
         for mode in MODES:
             assert run_cli(["repl", "--mode", mode, *CAP], "\n".join(lines) + "\n")[0] == 0
+
+
+@st.composite
+def atom_sets(draw):
+    """A Boffa program ``s = {...}`` over up to twelve declared atoms: its
+    members are atoms, numerals and sets of atoms."""
+    atoms = [f"t{i}" for i in range(draw(st.integers(0, 12)))]
+    member = st.sampled_from(atoms) if atoms else st.just("0")
+    extra = st.one_of(
+        st.integers(0, 3).map(str),
+        st.lists(member, max_size=3).map(lambda xs: "{" + ", ".join(xs) + "}"),
+    )
+    members = atoms + draw(st.lists(extra, max_size=4))
+    lines = [f"atom {a};" for a in atoms] + ["s = {" + ", ".join(members) + "};"]
+    return "\n".join(draw(st.permutations(lines))), len(members) == len(atoms)
+
+
+@given(atom_sets())
+@settings(FUZZ, max_examples=40)
+def test_aut_on_atom_sets(program):
+    text, only_atoms = program
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out = run_cli(["aut", write(tmp, text.encode()), "s", "--mode", "boffa", "--json"])
+    assert code == 0
+    if only_atoms:
+        report = json.loads(out)
+        assert report["order"] == math.factorial(text.count("atom "))
+
+
+@st.composite
+def wf_flags(draw):
+    """A ``wf`` flag vector: counts from -1 up, so some are rejected, at
+    most one of ``--perm`` (cycle text over atom indices, some unknown or
+    malformed) and ``--embed-into``, and maybe ``--json``."""
+    argv = ["wf", "--atoms", str(draw(st.integers(-1, 12))), "--levels", str(draw(st.integers(-1, 3))),
+            "--cap", str(draw(st.integers(1, 4096)))]
+    extra = draw(st.sampled_from(["", "perm", "embed"]))
+    if extra == "perm":
+        cycles = st.lists(st.integers(-1, 12).map(str), min_size=1, max_size=4).map(" ".join)
+        argv += ["--perm", draw(st.one_of(
+            st.lists(cycles, max_size=3).map(lambda cs: "".join(f"({c})" for c in cs)),
+            st.text(alphabet="() 0123,x", max_size=8),
+        ))]
+    elif extra == "embed":
+        argv += ["--embed-into", str(draw(st.integers(-1, 13)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@given(wf_flags())
+@settings(FUZZ, max_examples=60)
+def test_wf_flags(argv):
+    code, out = run_cli(argv)
+    if code == 0 and "--perm" not in argv and "--embed-into" not in argv and "--json" not in argv:
+        atoms = int(argv[2])
+        assert out.splitlines()[-1] == f"automorphism count {math.factorial(atoms)}"
 
 
 @st.composite

@@ -16,10 +16,27 @@ from hypersets.errors import (
 )
 from hypersets import hsl
 from hypersets.grouplab import decode_pair, make_order_gadget
-from hypersets.hsl import flatten, flatten_into, parse, unparse
+from hypersets.hsl import (
+    AtomDecl,
+    Definition,
+    HslProgram,
+    NameRef,
+    SetTerm,
+    flatten,
+    flatten_into,
+    parse,
+    unparse,
+)
 from hypersets.random_graphs import random_apg
 
 fs = frozenset
+
+# Programs built from values, which the parser never checked, binding x twice.
+BOUND_TWICE = {
+    "two definitions": (Definition("x", SetTerm(())), Definition("x", SetTerm((NameRef("x"),)))),
+    "atom and definition": (AtomDecl("x"), Definition("x", SetTerm(()))),
+    "two atoms": (AtomDecl("x"), AtomDecl("x")),
+}
 
 
 class TestParse:
@@ -114,6 +131,10 @@ class TestFlatten:
         for name, g in some.items():
             assert g == every[name]
 
+    def test_name_bound_twice(self):
+        with pytest.raises(DuplicateDefinition, match="'x'"):
+            flatten(HslProgram(BOUND_TWICE["two definitions"]))
+
     def test_selected_name_undefined(self):
         with pytest.raises(UndefinedName, match="name 'z' is not defined"):
             flatten(parse("x = {x};"), ["x", "z"])
@@ -195,6 +216,15 @@ class TestFlattenIntoGivenIds:
         before = (dict(u.sets), dict(u._by_members), u.next_id)
         with pytest.raises(exc, match=message):
             flatten_into(parse(text), u, given)
+        assert (u.sets, u._by_members, u.next_id) == before
+
+    @pytest.mark.parametrize("case", BOUND_TWICE)
+    def test_name_bound_twice_leaves_store_unchanged(self, case):
+        u = Universe()
+        u.add_set([u.add_quine_atom()])
+        before = (dict(u.sets), dict(u._by_members), u.next_id)
+        with pytest.raises(DuplicateDefinition, match="'x'"):
+            flatten_into(HslProgram(BOUND_TWICE[case]), u)
         assert (u.sets, u._by_members, u.next_id) == before
 
 
