@@ -8,6 +8,7 @@ Identical seeds and flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -68,6 +69,11 @@ def _int_at_least(low: int):
         return value
 
     return parse_int
+
+
+def _hs_cap() -> str:
+    # A string default goes through --cap's type, so HS_CAP is validated like --cap.
+    return os.environ.get("HS_CAP") or str(DEFAULT_ISO_CAP)
 
 
 def _read_program(path: str) -> HslProgram:
@@ -163,17 +169,20 @@ def cmd_aut(args) -> int:
 
 
 def _parse_cycles(text: str, n: int) -> dict[int, int]:
-    """Cycle notation over atom indices: (0 1 2)(3 4)."""
+    """Disjoint cycles over atom indices: (0 1 2)(3 4)."""
     sigma = {i: i for i in range(n)}
     body = text.strip()
     if not body:
         return sigma
     if not (body.startswith("(") and body.endswith(")")):
         raise ValueError(f"bad cycle notation {text!r}")
-    for chunk in body[1:-1].split(")("):
-        idx = [int(tok) for tok in chunk.replace(",", " ").split()]
-        if any(not (0 <= i < n) for i in idx):
-            raise ValueError(f"cycle mentions unknown atom in {text!r}")
+    cycles = [[int(t) for t in c.replace(",", " ").split()] for c in body[1:-1].split(")(")]
+    atoms = [i for idx in cycles for i in idx]
+    if any(not (0 <= i < n) for i in atoms):
+        raise ValueError(f"cycle mentions unknown atom in {text!r}")
+    if len(set(atoms)) != len(atoms):
+        raise ValueError(f"bad cycle notation {text!r}: cycles must be disjoint")
+    for idx in cycles:
         for i, j in zip(idx, idx[1:] + idx[:1]):
             sigma[i] = j
     return sigma
@@ -240,7 +249,7 @@ def _load_group(args) -> GroupTable:
         and all(type(x) is int for r in rows for x in r)
     ):
         raise ValueError('table file must hold {"order": n, "table": n rows of n integers}')
-    if data.get("order") != len(rows):
+    if type(data.get("order")) is not int or data["order"] != len(rows):
         raise ValueError("order field does not match table size")
     # GroupTable checks associativity in O(n^3), so the cap comes first.
     if len(rows) > args.group_cap:
@@ -365,9 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="A desk-scale laboratory for non-well-founded set theory.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    # A string default goes through the option's type, so HS_CAP is
-    # validated like --cap.
-    cap_default = os.environ.get("HS_CAP") or str(DEFAULT_ISO_CAP)
+    cap_default = _hs_cap()
 
     def add_common(p, mode=True):
         if mode:
@@ -433,8 +440,20 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _cached_parser():
+    """The parser, built on first use, and the --cap actions HS_CAP sets."""
+    top = build_parser()
+    subs = top._subparsers._group_actions[0].choices.values()
+    return top, [a for p in subs for a in p._actions
+                 if a.dest == "cap" and isinstance(a.default, str)]
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, cap_actions = _cached_parser()
+    for action in cap_actions:  # HS_CAP is read on every call
+        action.default = _hs_cap()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (HslSyntaxError, DuplicateDefinition) as exc:

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import hypersets.cli as cli
 from hypersets.boffa import Universe
 from hypersets.canon import Semantics, equal
 from hypersets.cli import (
@@ -210,6 +211,29 @@ class TestCapValidation:
         path = program("a = {b, a}; b = {a};")
         assert main(["solve", path, "--mode", "fafa"]) == EXIT_CAP
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("built_under", [None, "1", "abc"])
+    def test_hs_cap_read_on_every_call(self, capsys, monkeypatch, program, built_under, reverse):
+        # main builds its parser once per process; HS_CAP must not be frozen in it.
+        path = program("a = {b, a}; b = {a};")
+        want = {None: EXIT_OK, "1": EXIT_CAP, "abc": EXIT_SEMANTIC}
+        sequence = [None, "1", "abc", None]
+        cli._cached_parser.cache_clear()
+        for value in [built_under] + (sequence[::-1] if reverse else sequence):
+            if value is None:
+                monkeypatch.delenv("HS_CAP", raising=False)
+            else:
+                monkeypatch.setenv("HS_CAP", value)
+            try:
+                code = main(["solve", path, "--mode", "fafa"])
+            except SystemExit as exc:
+                code = exc.code
+            assert code == want[value], value
+            err = capsys.readouterr().err
+            if value == "abc":
+                assert err.startswith("usage: hypersets solve")
+                assert "argument --cap: expected an integer >= 1, got 'abc'" in err
+
     @pytest.mark.parametrize("value", ["abc", "0", "1.5"])
     def test_bad_cap_flag_exits_two(self, capsys, program, value):
         with pytest.raises(SystemExit) as exc:
@@ -351,6 +375,13 @@ class TestWf:
     def test_cap_exit(self, capsys):
         assert main(["wf", "--atoms", "3", "--levels", "3"]) == EXIT_CAP
 
+    @pytest.mark.parametrize("perm", ["(0 1)(0 1)", "(0 0)", "(2 2)", "(0 1 0)", "(0 1)(1 2)"])
+    def test_cycles_must_be_disjoint(self, capsys, perm):
+        # (0 1)(0 1) was read as the transposition, not as the identity
+        assert main(["wf", "--atoms", "3", "--levels", "1", "--perm", perm]) == EXIT_SEMANTIC
+        assert capsys.readouterr().err == (
+            f"error: bad cycle notation {perm!r}: cycles must be disjoint\n")
+
     @pytest.mark.parametrize("flag", ["--atoms", "--levels"])
     def test_negative_counts_rejected(self, capsys, flag):
         argv = {"--atoms": "1", "--levels": "1"}
@@ -402,6 +433,8 @@ class TestGroup:
         pytest.param(json.dumps({"order": 2, "table": [["0", "1"], ["1", "0"]]}), id="strings"),
         pytest.param(json.dumps({"order": 2, "table": [[0, 1], [1, "x"]]}), id="one-string"),
         pytest.param(json.dumps({"order": 1, "table": [[0.0]]}), id="float"),
+        pytest.param(json.dumps({"order": True, "table": [[0]]}), id="bool-order"),
+        pytest.param(json.dumps({"order": 2.0, "table": [[0, 1], [1, 0]]}), id="float-order"),
         pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
     ])
     def test_malformed_table_exits_two(self, capsys, tmp_path, text):
@@ -417,6 +450,47 @@ class TestGroup:
         start = time.perf_counter()
         assert main(["group", "--table", str(path)]) == EXIT_CAP
         assert time.perf_counter() - start < 1.0
+
+
+class TestCachedParser:
+    """main reuses one parser per process; a fresh parser per call must give
+    the same stdout, stderr and exit code."""
+
+    VECTORS = [
+        ["solve", "PATH"],
+        ["solve", "PATH", "--mode", "boffa", "--json"],
+        ["eq", "PATH", "x", "y", "--mode", "safa"],
+        ["aut", "PATH", "d"],
+        ["wf", "--atoms", "2", "--levels", "1", "--perm", "(0 1)"],
+        ["group", "--preset", "s3"],
+        ["search-separation", "afa", "safa", "--max-nodes", "4", "--budget", "50"],
+        ["repl", "--mode", "boffa"],
+        ["--help"],
+        *([command, "--help"] for command in
+          ["solve", "eq", "aut", "wf", "group", "search-separation", "repl"]),
+        ["frobnicate"],
+        ["eq", "PATH", "x"],
+        ["group", "--preset", "s3", "--table", "f"],
+        ["solve", "PATH", "--mode", "zfc"],
+    ]
+
+    def call(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("e = {};\n:aut e\n:canon e\n"))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv", VECTORS, ids=" ".join)
+    def test_same_output_as_fresh_parser(self, capsys, monkeypatch, program, argv):
+        path = program("x = {x}; y = {{y}}; d = {x, {}, {{}}};")
+        argv = [path if a == "PATH" else a for a in argv]
+        cached = [self.call(capsys, monkeypatch, argv) for _ in range(2)]
+        monkeypatch.setattr(cli, "_cached_parser", cli._cached_parser.__wrapped__)
+        fresh = [self.call(capsys, monkeypatch, argv) for _ in range(2)]
+        assert cached == fresh
+        assert cached[0] == cached[1]
 
 
 class TestSearchSeparation:
