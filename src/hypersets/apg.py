@@ -511,6 +511,19 @@ def _search_with_order(ch1, colors1, ch2, colors2):
     return leaves(), order
 
 
+def _union_under_fresh_root(graphs: Sequence[Apg]) -> tuple[list[frozenset[int]], list[int]]:
+    """The child sets of the graphs' disjoint union below a new root 0, and
+    the node ids of their roots in it."""
+    children: list[frozenset[int]] = [frozenset()]
+    roots = []
+    for g in graphs:
+        offset = len(children)
+        roots.append(g.root + offset)
+        children.extend(frozenset(v + offset for v in kids) for kids in g.children)
+    children[0] = frozenset(roots)
+    return children, roots
+
+
 def pointed_isomorphic(
     g1: Apg, g2: Apg, cap: int = DEFAULT_ISO_CAP
 ) -> Optional[dict[int, int]]:
@@ -527,18 +540,17 @@ def pointed_isomorphic(
     if n != g2.node_count or g1.edge_count != g2.edge_count:
         return None
 
-    # Joint refinement over the disjoint union; both roots share a seed color.
-    offset = n
-    children = list(g1.children) + [
-        frozenset(v + offset for v in kids) for kids in g2.children
-    ]
-    init = [0] * (2 * n)
-    init[g1.root] = 1
-    init[g2.root + offset] = 1
+    # Joint refinement over the disjoint union; both roots share a seed
+    # colour, and the fresh root, their only common parent, has its own.
+    children, roots = _union_under_fresh_root((g1, g2))
+    init = [0] * len(children)
+    init[0] = 2
+    for r in roots:
+        init[r] = 1
     colors = _stable_colors(children, init)
 
-    c1 = colors[:n]
-    c2 = colors[n:]
+    c1 = colors[1:n + 1]
+    c2 = colors[n + 1:]
     if sorted(c1) != sorted(c2):
         return None
 
@@ -567,28 +579,6 @@ def _iso_classes(graphs: Sequence[Apg], cap: int) -> list[int]:
             out.append(count)
             count += 1
     return out
-
-
-def _reduce_generators(perms: Iterable[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """The permutations, in the order given, that are not generated by the
-    ones kept before them; together they generate every one of perms."""
-    identity = tuple(range(n))
-    generated = {identity}
-    gens: list[tuple[int, ...]] = []
-    for p in perms:
-        if p in generated:
-            continue
-        gens.append(p)
-        generated.add(p)
-        frontier = list(generated)
-        while frontier:
-            q = frontier.pop()
-            for r in gens:
-                comp = tuple(q[r[i]] for i in range(n))
-                if comp not in generated:
-                    generated.add(comp)
-                    frontier.append(comp)
-    return gens
 
 
 # --- JSON graph format -----------------------------------------------------

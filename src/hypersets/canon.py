@@ -26,6 +26,7 @@ from .apg import (
     _refine,
     _search_with_order,
     _stable_colors,
+    _union_under_fresh_root,
 )
 from .equivalence import _finsler_classes
 from .errors import SizeLimitExceeded
@@ -113,7 +114,7 @@ def equality_classes(
     not their union.  Ids count from 0 in order of first appearance.
     """
     if s is Semantics.FAFA:
-        return picture_classes([canonicalize(g, s, cap=cap).canonical for g in graphs], s, cap)
+        return _iso_classes([canonicalize(g, s, cap=cap).canonical for g in graphs], cap)
     children, roots = _union_under_fresh_root(graphs)
     _, _, decoration, block_of, _ = _settle(children, 0, s, cap)
     ids: dict[int, int] = {}
@@ -131,19 +132,6 @@ def picture_classes(
     if s is not Semantics.FAFA:
         return equality_classes(pictures, s, cap=cap)
     return _iso_classes(pictures, cap)
-
-
-def _union_under_fresh_root(graphs: Sequence[Apg]) -> tuple[list[frozenset[int]], list[int]]:
-    """The child sets of the graphs' disjoint union below a new root 0, and
-    the node ids of their roots in it."""
-    children: list[frozenset[int]] = [frozenset()]
-    roots = []
-    for g in graphs:
-        offset = len(children)
-        roots.append(g.root + offset)
-        children.extend(frozenset(v + offset for v in kids) for kids in g.children)
-    children[0] = frozenset(roots)
-    return children, roots
 
 
 def equal(g1: Apg, g2: Apg, s: Semantics, cap: int = DEFAULT_ISO_CAP) -> bool:

@@ -284,6 +284,8 @@ def cmd_group(args) -> int:
 def cmd_search_separation(args) -> int:
     if args.mode_a == args.mode_b:
         raise ValueError("modes must differ")
+    if args.max_nodes > args.cap:
+        raise SizeLimitExceeded(f"--max-nodes {args.max_nodes} exceeds the cap {args.cap}")
     sem_a, sem_b = Semantics(args.mode_a), Semantics(args.mode_b)
     rng = random.Random(args.seed)
     for trial in range(args.budget):
@@ -374,13 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="A desk-scale laboratory for non-well-founded set theory.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    cap_default = _hs_cap()
+    cap_actions = top.hs_cap_actions = []  # --cap actions main re-reads from HS_CAP
 
     def add_common(p, mode=True):
         if mode:
             p.add_argument("--mode", choices=MODES, default="afa")
-        p.add_argument("--cap", type=_int_at_least(1), default=cap_default,
-                       help="node cap for FAFA partitions, isomorphism and automorphism search")
+        cap_actions.append(p.add_argument(
+            "--cap", type=_int_at_least(1), default=_hs_cap(),
+            help="node cap for FAFA partitions, isomorphism and automorphism search"))
 
     p = sub.add_parser("solve", help="canonicalize every named set in a program")
     p.add_argument("file", help=".hs-set program, or - for stdin")
@@ -406,9 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wf", help="cumulative hierarchy over Quine atoms")
     p.add_argument("--atoms", type=_int_at_least(0), required=True)
     p.add_argument("--levels", type=_int_at_least(0), required=True)
-    p.add_argument("--perm", help="atom permutation in cycle notation, e.g. '(0 1)'")
-    p.add_argument("--embed-into", type=_int_at_least(0),
-                   help="embed into a stage over this many atoms")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--perm", help="atom permutation in cycle notation, e.g. '(0 1)'")
+    target.add_argument("--embed-into", type=_int_at_least(0),
+                        help="embed into a stage over this many atoms")
     p.add_argument("--cap", type=_int_at_least(1), default=1 << 16)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_wf)
@@ -430,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=_int_at_least(1), default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=_int_at_least(0), default=10_000)
-    p.add_argument("--cap", type=_int_at_least(1), default=cap_default)
+    cap_actions.append(p.add_argument("--cap", type=_int_at_least(1), default=_hs_cap()))
     p.set_defaults(func=cmd_search_separation)
 
     p = sub.add_parser("repl", help="interactive session reading stdin")
@@ -440,18 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-@functools.cache
-def _cached_parser():
-    """The parser, built on first use, and the --cap actions HS_CAP sets."""
-    top = build_parser()
-    subs = top._subparsers._group_actions[0].choices.values()
-    return top, [a for p in subs for a in p._actions
-                 if a.dest == "cap" and isinstance(a.default, str)]
+_cached_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    parser, cap_actions = _cached_parser()
-    for action in cap_actions:  # HS_CAP is read on every call
+    parser = _cached_parser()
+    for action in parser.hs_cap_actions:  # HS_CAP is read on every call
         action.default = _hs_cap()
     args = parser.parse_args(argv)
     try:

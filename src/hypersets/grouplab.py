@@ -19,11 +19,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .apg import DEFAULT_ISO_CAP, Apg, _reduce_generators
+from .apg import DEFAULT_ISO_CAP, Apg
 from .boffa import Universe
-from .canon import automorphisms
+from .canon import _orbit, automorphisms
 from .errors import GroupTooLarge, OrderTooLarge
-from .hsl import AtomDecl, Definition, HslProgram, NameRef, SetTerm, TupleTerm, flatten_into
+from .hsl import (
+    AtomDecl, Definition, HslProgram, NameRef, SetTerm, TupleTerm, _pair_parts, flatten_into,
+)
 
 DEFAULT_GROUP_CAP = 8
 PRESET_NAMES = ("z1", "z2", "z3", "z4", "v4", "s3")
@@ -145,26 +147,17 @@ def make_order_gadget(u: Universe, a: int, b: int) -> int:
 
 def decode_pair(u: Universe, p: int) -> tuple[int, int]:
     """Inverse of the Kuratowski encoding; raises if p is not a pair."""
-    ms = sorted(u.members(p))
+    ms = u.members(p)
     if len(ms) == 1:
         (w1,) = ms
-        inner = u.members(w1)
-        if len(inner) != 1:
-            raise ValueError(f"{p} is not a pair")
-        (a,) = inner
-        return a, a
-    if len(ms) != 2:
-        raise ValueError(f"{p} is not a pair")
-    singles = [w for w in ms if len(u.members(w)) == 1]
-    doubles = [w for w in ms if len(u.members(w)) == 2]
-    if len(singles) != 1 or len(doubles) != 1:
-        raise ValueError(f"{p} is not a pair")
-    (a,) = u.members(singles[0])
-    rest = u.members(doubles[0]) - {a}
-    if len(rest) != 1:
-        raise ValueError(f"{p} is not a pair")
-    (b,) = rest
-    return a, b
+        if len(u.members(w1)) == 1:
+            (a,) = u.members(w1)
+            return a, a
+    else:
+        parts = _pair_parts(p, u.members)
+        if parts is not None:
+            return parts[:2]
+    raise ValueError(f"{p} is not a pair")
 
 
 def decode_tuple(u: Universe, x: int, arity: int) -> tuple[int, ...]:
@@ -292,21 +285,23 @@ def groups_isomorphic(g: GroupTable, h: GroupTable, cap: int = 12) -> bool:
         return False
 
     gens = _generating_set(g)
-    words = _words_over(g, gens)
     h_by_order: dict[int, list[int]] = {}
     for x in range(h.order):
         h_by_order.setdefault(h.element_order(x), []).append(x)
 
     candidates = [h_by_order.get(g.element_order(x), []) for x in gens]
     for images in itertools.product(*candidates):
-        phi = {}
-        ok = True
-        for x in range(g.order):
-            val = h.identity
-            for letter in words[x]:
-                val = h.mul(val, images[letter])
-            phi[x] = val
-        if len(set(phi.values())) != g.order:
+        # phi(y * gen) = phi(y) * image, breadth-first from the identity
+        phi = [-1] * g.order
+        phi[g.identity] = h.identity
+        frontier = [g.identity]
+        for y in frontier:
+            for gen, image in zip(gens, images):
+                z = g.mul(y, gen)
+                if phi[z] < 0:
+                    phi[z] = h.mul(phi[y], image)
+                    frontier.append(z)
+        if len(set(phi)) != g.order:
             continue
         if all(
             phi[g.mul(a, b)] == h.mul(phi[a], phi[b])
@@ -320,25 +315,11 @@ def groups_isomorphic(g: GroupTable, h: GroupTable, cap: int = 12) -> bool:
 def _generating_set(g: GroupTable) -> list[int]:
     """Elements, highest order first, not generated by those kept before.
 
-    Row x of the table is left multiplication by x, and rows compose as the
-    group multiplies, so the rows' generators map back to elements.
+    Row x of the table is left multiplication by x, so the subgroup the
+    kept elements generate is the orbit of the identity under their rows.
     """
-    by_order = sorted(range(g.order), key=g.element_order, reverse=True)
-    rows = [tuple(g.table[x]) for x in by_order]
-    return [row[g.identity] for row in _reduce_generators(rows, g.order)]
-
-
-def _words_over(g: GroupTable, gens: list[int]) -> dict[int, tuple[int, ...]]:
-    """Express every element as a product of generators (indices into gens)."""
-    words: dict[int, tuple[int, ...]] = {g.identity: ()}
-    frontier = [g.identity]
-    while frontier:
-        x = frontier.pop(0)
-        for i, gen in enumerate(gens):
-            y = g.mul(x, gen)
-            if y not in words:
-                words[y] = words[x] + (i,)
-                frontier.append(y)
-    if len(words) != g.order:
-        raise AssertionError("generating set does not generate")
-    return words
+    gens: list[int] = []
+    for x in sorted(range(g.order), key=g.element_order, reverse=True):
+        if x not in _orbit(g.identity, [g.table[k] for k in gens]):
+            gens.append(x)
+    return gens

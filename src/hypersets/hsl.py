@@ -115,9 +115,9 @@ def _tokenize(text: str):
             col += 1
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             yield ("NAT", int(text[i:j]), line, col)
             col += j - i
@@ -517,22 +517,27 @@ def _numeral_values(g: Apg) -> list[Optional[int]]:
 
 def _decode_pair(g: Apg, u: int, parents, skip: set[int]):
     """Kuratowski witnesses of u = <a, b> with a != b, when private to u."""
-    kids = sorted(g.children[u])
-    if len(kids) != 2:
+    parts = _pair_parts(u, g.children.__getitem__)
+    if parts is None:
         return None
-    for w1, w2 in (kids, kids[::-1]):
-        if len(g.children[w1]) != 1 or len(g.children[w2]) != 2:
-            continue
-        (a,) = g.children[w1]
-        rest = g.children[w2] - {a}
-        if len(rest) != 1:
-            continue
-        (b,) = rest
-        if w1 == w2 or w1 in (a, b) or w2 in (a, b):
-            continue
-        if g.root in (w1, w2) or w1 in skip or w2 in skip:
-            continue
-        if parents[w1] != {u} or parents[w2] != {u}:
-            continue
-        return a, b, w1, w2
+    a, b, w1, w2 = parts
+    if {w1, w2} & {a, b, g.root} or w1 in skip or w2 in skip:
+        return None
+    return parts if parents[w1] == {u} == parents[w2] else None
+
+
+def _pair_parts(p, members):
+    """(a, b, w1, w2) when p = {w1, w2} with w1 = {a} and w2 = {a, b}, a != b,
+    the layout ``_GraphBuilder._pair`` writes; else None.  ``members`` maps a
+    node to its member set."""
+    kids = members(p)
+    if len(kids) == 2:
+        w1, w2 = kids
+        if len(members(w1)) != 1:
+            w1, w2 = w2, w1
+        if len(members(w1)) == 1 and len(members(w2)) == 2:
+            (a,) = members(w1)
+            if a in members(w2):
+                (b,) = members(w2) - {a}
+                return a, b, w1, w2
     return None

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from hypersets.apg import (
     Apg,
     Partition,
-    _reduce_generators,
     apg_from_json,
     apg_to_json,
     is_well_founded,
@@ -180,14 +179,6 @@ class TestPointedIsomorphic:
             for u in range(g1.node_count):
                 assert fs(m[v] for v in g1.children[u]) == g2.children[m[u]]
             hits += 1
-
-
-class TestReduceGenerators:
-    def test_drops_powers_of_a_kept_generator(self):
-        c = (1, 2, 3, 0)
-        c2 = tuple(c[c[i]] for i in range(4))
-        c3 = tuple(c[c2[i]] for i in range(4))
-        assert _reduce_generators([c, c2, c3], 4) == [c]
 
 
 class TestQuotient:

@@ -71,6 +71,17 @@ class TestSolve:
     def test_syntax_error_exit(self, capsys, program):
         assert main(["solve", program("x = {x}")]) == EXIT_SYNTAX
 
+    @pytest.mark.parametrize("text, col", [("x = ²;", 5), ("x = ①;", 5), ("x = 1²;", 6)])
+    def test_non_decimal_digits_are_syntax_errors(self, capsys, program, text, col):
+        # str.isdigit() accepts these, and int() then refused them
+        assert main(["solve", program(text)]) == EXIT_SYNTAX
+        assert f"1:{col}: unexpected character {text[col - 1]!r}" in capsys.readouterr().err
+
+    def test_decimal_digits_of_other_scripts_are_numerals(self, capsys, program):
+        arabic_indic = run(capsys, "solve", program("x = ٣;"))
+        assert arabic_indic == run(capsys, "solve", program("x = 3;"))
+        assert arabic_indic[0] == EXIT_OK
+
     def test_semantic_error_exit(self, capsys, program):
         assert main(["solve", program("atom x;")]) == EXIT_SEMANTIC
 
@@ -382,6 +393,14 @@ class TestWf:
         assert capsys.readouterr().err == (
             f"error: bad cycle notation {perm!r}: cycles must be disjoint\n")
 
+    def test_perm_and_embed_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["wf", "--atoms", "2", "--levels", "1", "--perm", "(0 1)", "--embed-into", "3"])
+        assert exc.value.code == EXIT_SEMANTIC
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hypersets wf")
+        assert "argument --embed-into: not allowed with argument --perm" in err
+
     @pytest.mark.parametrize("flag", ["--atoms", "--levels"])
     def test_negative_counts_rejected(self, capsys, flag):
         argv = {"--atoms": "1", "--levels": "1"}
@@ -505,6 +524,18 @@ class TestSearchSeparation:
 
     def test_same_modes_rejected(self, capsys):
         assert main(["search-separation", "afa", "afa"]) == EXIT_SEMANTIC
+
+    @pytest.mark.parametrize("max_nodes, cap", [
+        ("1000000", []), ("100000000", []), ("9", ["--cap", "8"]),
+    ])
+    def test_max_nodes_bounded_by_cap(self, capsys, max_nodes, cap):
+        # random_apg draws up to max_nodes nodes before any cap is checked
+        argv = ["search-separation", "afa", "safa", "--max-nodes", max_nodes, "--budget", "1"]
+        start = time.perf_counter()
+        code = main(argv + cap)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CAP
+        assert capsys.readouterr().err.startswith(f"size cap: --max-nodes {max_nodes} exceeds")
 
     def test_no_witness_exit(self, capsys):
         code, out = run(

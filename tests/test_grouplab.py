@@ -6,7 +6,9 @@ from hypersets.apg import pointed_isomorphic
 from hypersets.boffa import Universe
 from hypersets.errors import GroupTooLarge, OrderTooLarge, SizeLimitExceeded
 from hypersets.grouplab import (
+    PRESET_NAMES,
     GroupTable,
+    _generating_set,
     aut_group_of,
     build_A_G,
     cyclic_group,
@@ -19,7 +21,16 @@ from hypersets.grouplab import (
     preset_group,
     symmetric_group_3,
 )
-from oracles import a_g_picture, order_eight_groups
+from oracles import a_g_picture, assert_irredundant_generators, order_eight_groups
+
+
+def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
+    """G x H on elements a * |H| + b, a in G and b in H."""
+    m = h.order
+    n = g.order * m
+    return GroupTable.from_rows([
+        [g.mul(x // m, y // m) * m + h.mul(x % m, y % m) for y in range(n)] for x in range(n)
+    ])
 
 
 def vn_pair_universe():
@@ -205,3 +216,27 @@ class TestGroupsIsomorphic:
         with pytest.raises(OrderTooLarge) as info:
             groups_isomorphic(cyclic_group(13), cyclic_group(13))
         assert isinstance(info.value, SizeLimitExceeded)
+
+
+class TestGeneratingSet:
+    PRODUCTS = {
+        "z2xz2": ("z2", "z2"), "z2xz3": ("z2", "z3"), "z2xz4": ("z2", "z4"),
+        "z3xz3": ("z3", "z3"), "z2xs3": ("z2", "s3"),
+    }
+
+    @pytest.mark.parametrize("name", [*PRESET_NAMES, *PRODUCTS])
+    def test_irredundant_and_generating(self, name):
+        # Row x of the table is left multiplication by x: the kept rows must
+        # each lie outside the group the earlier ones generate, and together
+        # generate all rows.
+        if name in self.PRODUCTS:
+            group = direct_product(*map(preset_group, self.PRODUCTS[name]))
+        else:
+            group = preset_group(name)
+        gens = _generating_set(group)
+        assert_irredundant_generators([group.table[x] for x in gens], group.table, group.order)
+
+    def test_cyclic_group_keeps_one_generator(self):
+        z4 = cyclic_group(4)
+        (gen,) = _generating_set(z4)
+        assert z4.element_order(gen) == 4
