@@ -121,19 +121,6 @@ def equality_classes(
     return [ids.setdefault(block_of[decoration[r]], len(ids)) for r in roots]
 
 
-def picture_classes(
-    pictures: Sequence[Apg], s: Semantics, cap: int = DEFAULT_ISO_CAP
-) -> list[int]:
-    """``equality_classes`` of graphs that are already canonical under s.
-
-    FAFA then groups the pictures by pointed isomorphism, without
-    canonicalizing them again; AFA and SAFA take the joint pass.
-    """
-    if s is not Semantics.FAFA:
-        return equality_classes(pictures, s, cap=cap)
-    return _iso_classes(pictures, cap)
-
-
 def equal(g1: Apg, g2: Apg, s: Semantics, cap: int = DEFAULT_ISO_CAP) -> bool:
     """Do the two graphs picture the same set under the given semantics?"""
     a, b = equality_classes((g1, g2), s, cap=cap)

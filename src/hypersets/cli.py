@@ -8,24 +8,19 @@ Identical seeds and flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import random
 import sys
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
-from .apg import DEFAULT_ISO_CAP
+from .apg import DEFAULT_ISO_CAP, Apg, _bfs, _iso_classes, _union_under_fresh_root
+from .apg import trim_to_accessible
 from .boffa import Universe
-from .canon import (
-    Semantics,
-    automorphisms,
-    canonicalize,
-    equal,
-    equality_classes,
-    is_rigid,
-    picture_classes,
-    to_dot,
-)
+from .canon import Semantics, _settle, automorphisms, canonicalize, equal, is_rigid, to_dot
 from .errors import (
     DuplicateDefinition,
     GroupTooLarge,
@@ -42,7 +37,7 @@ from .grouplab import (
     groups_isomorphic,
     preset_group,
 )
-from .hsl import HslProgram, flatten, flatten_into, parse, unparse
+from .hsl import HslProgram, _printer, _pure_graph, flatten, flatten_into, parse, unparse
 from .random_graphs import random_apg
 from .wflab import all_automorphisms, build_universe, classify_map, extend_map
 
@@ -83,79 +78,132 @@ def _read_program(path: str) -> HslProgram:
         return parse(f.read())
 
 
-def _solve_names(program: HslProgram, mode: str, cap: int, names=None, pictures=True):
-    """Canonical picture and equality class id of each name in ``names``
-    (every name of the program by default), as two dicts in name order;
-    without ``pictures`` the first dict is empty.
+@dataclass(frozen=True)
+class _Solution:
+    """Each requested name's equality class and, with pictures, its
+    canonical picture: ``order(name)`` lists the picture's nodes, root
+    first, in one shared graph whose member sets are ``members``."""
 
-    Pure modes canonicalize each name's graph once and read the classes off
-    the pictures, or, without pictures, canonicalize the graphs jointly;
-    Boffa mode inserts into a fresh universe, whose set ids are the classes.
+    classes: dict
+    members: dict = None
+    order: Callable = None
+    labels: Mapping = field(default_factory=dict)
+
+    @functools.cached_property
+    def _print(self):
+        return _printer(self.members)
+
+    def text(self, name: str) -> str:  # unparse(self.picture(name))
+        return self._print(self.order(name))
+
+    def picture(self, name: str) -> Apg:
+        order = self.order(name)
+        pos = {u: i for i, u in enumerate(order)}
+        children = tuple([frozenset([pos[v] for v in self.members[u]]) for u in order])
+        return Apg(children, 0, {pos[u]: self.labels[u] for u in order if u in self.labels})
+
+
+def _solve_names(program: HslProgram, mode: str, cap: int, names=None, pictures=True):
+    """A ``_Solution`` for ``names`` (every name by default), in name order.
+
+    AFA and SAFA settle the graph of the names once, under a fresh root (one
+    decoration solves the whole system: Aczel's solution lemma).  A name's
+    picture is numbered as ``canonicalize`` numbers it, by a breadth-first
+    walk of the program's graph from the name, in term order, expanding the
+    first node met in each class; by the decoration equation the others
+    reach no new class.  So ``solve`` costs O(graph + pictures printed).
+    FAFA canonicalizes each name on its own, as its cap bounds each picture.
+    In Boffa mode a fresh universe's set ids are the classes.
     """
     if mode == "boffa":
         u = Universe()
         ids = flatten_into(program, u)
-        if names is None:
-            names = list(ids)
+        names = list(ids) if names is None else names
         for name in names:
             if name not in ids:
                 raise UndefinedName(f"name {name!r} is not defined")
-        pics = {name: u.picture_of(ids[name]) for name in names} if pictures else {}
-        return pics, {name: ids[name] for name in names}
-    graphs = flatten(program, names)
+        ordered = {i: sorted(m) for i, m in u.sets.items()}
+        return _Solution({name: ids[name] for name in names}, u.sets,
+                         lambda name: _bfs(ids[name], ordered), u.labels)
     s = Semantics(mode)
+    if s is Semantics.FAFA:
+        graphs = flatten(program, names)
+        pics = [canonicalize(g, s, cap=cap).canonical for g in graphs.values()]
+        classes = dict(zip(graphs, _iso_classes(pics, cap)))
+        members, roots = _union_under_fresh_root(pics)
+        # Canonical forms are numbered breadth-first already.
+        spans = {name: range(r, r + g.node_count) for name, r, g in zip(graphs, roots, pics)}
+        return _Solution(classes, dict(enumerate(members)), spans.__getitem__)
+    children, keys = _pure_graph(program, names)
+    root = ("names",)  # fresh: every key of the program's graph has two or three parts
+    children[root] = list(keys.values())
+    g, trans = trim_to_accessible(children, root)
+    settled, _, decoration, block_of, _ = _settle(g.children, 0, s, cap)
+    class_of = [block_of[d] for d in decoration]
+    classes = {name: class_of[trans[key]] for name, key in keys.items()}
     if not pictures:
-        return {}, dict(zip(graphs, equality_classes(list(graphs.values()), s, cap=cap)))
-    pics = {name: canonicalize(g, s, cap=cap).canonical for name, g in graphs.items()}
-    return pics, dict(zip(pics, picture_classes(list(pics.values()), s, cap=cap)))
+        return _Solution(classes)
+    ordered = [[trans[v] for v in children[key]] for key in trans]
+    members = {block_of[u]: frozenset([block_of[v] for v in kids])
+               for u, kids in enumerate(settled)}
+
+    def order(name):
+        firsts = [trans[keys[name]]]
+        seen = {class_of[firsts[0]]: None}  # the classes met, in order
+        for u in firsts:
+            for v in ordered[u]:
+                if class_of[v] not in seen:
+                    seen[class_of[v]] = None
+                    firsts.append(v)
+        return list(seen)
+
+    return _Solution(classes, members, order)
 
 
 def cmd_solve(args) -> int:
-    pics, classes = _solve_names(_read_program(args.file), args.mode, args.cap)
-    names = list(pics)
-
-    pairs = []
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            pairs.append((a, b, classes[a] == classes[b]))
+    sol = _solve_names(_read_program(args.file), args.mode, args.cap)
+    names = list(sol.classes)
 
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             for name in names:
-                fh.write(to_dot(pics[name], name=name))
+                fh.write(to_dot(sol.picture(name), name=name))
 
     if args.json:
         doc = {
             "mode": args.mode,
-            "sets": {name: unparse(pics[name]) for name in names},
-            "pairs": [{"a": a, "b": b, "equal": e} for a, b, e in pairs],
+            "sets": {name: sol.text(name) for name in names},
+            "pairs": [{"a": a, "b": b, "equal": sol.classes[a] == sol.classes[b]}
+                      for i, a in enumerate(names) for b in names[i + 1:]],
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
 
-    out = []
+    # One block, then one row of verdicts, at a time.
+    out = sys.stdout
+    gap = "\n" if len(names) > 1 else ""
     for name in names:
-        out.append(f"set {name}")
-        out.append(unparse(pics[name]).rstrip("\n"))
-        out.append("")
-    for a, b, e in pairs:
-        out.append(f"{'equal' if e else 'distinct'} {a} {b}")
-    print("\n".join(out).rstrip("\n"))
+        out.write(f"set {name}\n{sol.text(name)}{gap}")
+    for i, a in enumerate(names):
+        c = sol.classes[a]
+        out.write("".join([f"{'equal' if sol.classes[b] == c else 'distinct'} {a} {b}\n"
+                           for b in names[i + 1:]]))
+    out.write("" if names else "\n")
     return EXIT_OK
 
 
 def cmd_eq(args) -> int:
     names = (args.name1, args.name2)
     program = _read_program(args.file)
-    _, classes = _solve_names(program, args.mode, args.cap, names, pictures=False)
+    classes = _solve_names(program, args.mode, args.cap, names, pictures=False).classes
     verdict = classes[args.name1] == classes[args.name2]
     print("equal" if verdict else "unequal")
     return EXIT_OK if verdict else EXIT_UNEQUAL
 
 
 def cmd_aut(args) -> int:
-    pics, _ = _solve_names(_read_program(args.file), args.mode, args.cap, (args.name,))
-    group = automorphisms(pics[args.name], cap=args.cap)
+    sol = _solve_names(_read_program(args.file), args.mode, args.cap, (args.name,))
+    group = automorphisms(sol.picture(args.name), cap=args.cap)
     if args.json:
         print(json.dumps(
             {"name": args.name, "order": group.order,
@@ -350,13 +398,14 @@ def cmd_repl(args) -> int:
                 out.write(f"mode {operands[0]}\n")
             elif directive == ":eq":
                 a, b = operands
-                _, classes = solve(operands, pictures=False)
+                classes = solve(operands, pictures=False).classes
                 out.write(("equal" if classes[a] == classes[b] else "unequal") + "\n")
             else:
                 name = operands[0]
-                pic = solve(operands[:1])[0][name]
+                sol = solve(operands[:1])
+                pic = sol.picture(name)
                 if directive == ":canon":
-                    out.write(unparse(pic))
+                    out.write(sol.text(name))
                 elif directive == ":aut":
                     out.write(f"order {automorphisms(pic, cap=cap).order}\n")
                 elif directive == ":rigid":
@@ -365,6 +414,8 @@ def cmd_repl(args) -> int:
                     with open(operands[1], "w", encoding="utf-8") as fh:
                         fh.write(to_dot(pic, name=name))
                     out.write(f"wrote {operands[1]}\n")
+        except BrokenPipeError:
+            raise  # a closed stdout ends the session
         except (HypersetError, ValueError, OSError) as exc:
             out.write(f"error: {exc}\n")
     return EXIT_OK
@@ -453,7 +504,15 @@ def main(argv=None) -> int:
         action.default = _hs_cap()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, however it is buffered
+        return code
+    except BrokenPipeError as exc:
+        # Python flushes stdout again at exit; what is left goes nowhere.
+        with contextlib.suppress(OSError), open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SEMANTIC
     except (HslSyntaxError, DuplicateDefinition) as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX

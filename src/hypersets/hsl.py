@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .apg import Apg, _bfs, _parent_sets, _postorder, trim_to_accessible
+from .apg import Apg, _bfs, _postorder, trim_to_accessible
 from .boffa import Universe
 from .errors import (
     AtomOutsideBoffa,
@@ -339,20 +339,27 @@ class _GraphBuilder:
 
 def flatten(program: HslProgram, names: Optional[Iterable[str]] = None) -> dict[str, Apg]:
     """One rooted APG per defined name, or per name in ``names`` (pure
-    AFA/SAFA/FAFA modes).  Only the requested names are trimmed out of the
-    program's graph, so asking for fewer names costs less."""
+    AFA/SAFA/FAFA modes), each trimmed on its own out of the program's graph
+    (``_pure_graph``), so each costs O(its graph)."""
+    children, keys = _pure_graph(program, names)
+    return {name: trim_to_accessible(children, key)[0] for name, key in keys.items()}
+
+
+def _pure_graph(program: HslProgram, names: Optional[Iterable[str]] = None):
+    """The program's graph for the pure modes (node key -> member keys, in
+    term order) and the node key of each defined name or name in ``names``."""
     if program.atom_names:
         raise AtomOutsideBoffa(
             "atom declarations need Boffa semantics; the isomorphism-flavoured "
             "theories have at most one Quine atom"
         )
     builder = _GraphBuilder(program)
-    out = {}
+    keys = {}
     for name in program.defined_names if names is None else names:
         if name not in builder.node_of:
             raise UndefinedName(f"name {name!r} is not defined")
-        out[name], _ = trim_to_accessible(builder.children, builder.node_of[name])
-    return out
+        keys[name] = builder.node_of[name]
+    return builder.children, keys
 
 
 def flatten_into(
@@ -426,77 +433,74 @@ def _merge_duplicates(children: dict) -> dict:
 # --- unparsing ---------------------------------------------------------------
 
 def unparse(g: Apg) -> str:
-    """Equation system reproducing g up to pointed isomorphism.
+    """Equation system reproducing g up to pointed isomorphism, its nodes
+    named x0, x1, ... in breadth-first order over ascending node ids.
 
     Numerals and pairs are printed in sugared form when the sugar is safe:
     the desugared interior nodes must be private to the construct, so that
     re-flattening yields an isomorphic graph.  Numerals win over pairs.
     """
-    n = g.node_count
-    order = _bfs(g.root, [sorted(kids) for kids in g.children])
-    pos = {u: i for i, u in enumerate(order)}
-    parents = _parent_sets(g.children)
-
-    num_val = _numeral_values(g)
-
-    skip: set[int] = set()
-    sugar: dict[int, str] = {}
-
-    for u in order:
-        k = num_val[u]
-        if k is None or u in skip:  # inside a numeral already sugared
-            continue
-        # u and its k children already make k + 1 nodes
-        reach = _reach(g, u, k + 1)
-        if reach is None:
-            continue
-        interior = reach - {u}
-        if g.root in interior:
-            continue
-        if any(not parents[d] <= reach for d in interior):
-            continue
-        sugar[u] = str(k)
-        skip |= interior
-
-    for u in order:
-        if u in sugar or u in skip:
-            continue
-        decoded = _decode_pair(g, u, parents, skip)
-        if decoded is None:
-            continue
-        a, b, w1, w2 = decoded
-        if a in skip or b in skip:
-            continue
-        sugar[u] = ("pair", a, b)
-        skip |= {w1, w2}
-
-    def name(u: int) -> str:
-        return f"x{pos[u]}"
-
-    lines = []
-    for u in order:
-        if u in skip:
-            continue
-        s = sugar.get(u)
-        if isinstance(s, str):
-            lines.append(f"{name(u)} = {s};")
-        elif isinstance(s, tuple):
-            _, a, b = s
-            lines.append(f"{name(u)} = <{name(a)}, {name(b)}>;")
-        else:
-            kids = sorted(g.children[u], key=lambda v: pos[v])
-            inner = ", ".join(name(v) for v in kids)
-            lines.append(f"{name(u)} = {{{inner}}};")
-    return "\n".join(lines) + "\n"
+    return _printer(dict(enumerate(g.children)))(_bfs(g.root, [sorted(k) for k in g.children]))
 
 
-def _reach(g: Apg, u: int, limit: int) -> Optional[set[int]]:
+def _printer(members: dict):
+    """``unparse`` for many pictures in one graph, given as node -> member
+    set: its numeral values and Kuratowski layouts are read once, and the
+    function returned prints the picture whose nodes, root first, are
+    ``order``.  Parents come from the picture's own edges, never the whole
+    graph's (0 is a member of most sets), so a picture costs O(picture).
+    """
+    num_val = _numeral_values(members)
+    pair = {u: _pair_parts(u, members.__getitem__) for u in members}
+
+    def picture(order) -> str:
+        root = order[0]
+        pos = {u: i for i, u in enumerate(order)}
+        parents: dict = {u: set() for u in order}
+        for u in order:
+            for v in members[u]:
+                parents[v].add(u)
+        skip, sugar = set(), {}
+        for u in order:
+            k = num_val[u]
+            if k is None or u in skip:  # inside a numeral already sugared
+                continue
+            # u and its k children already make k + 1 nodes
+            reach = _reach(members, u, k + 1)
+            if reach is None:
+                continue
+            interior = reach - {u}
+            if root in interior or any(not parents[d] <= reach for d in interior):
+                continue
+            sugar[u] = str(k)
+            skip |= interior
+        for u in order:
+            if u in sugar or u in skip or pair[u] is None:
+                continue
+            a, b, w1, w2 = pair[u]
+            if {w1, w2} & {a, b, root} or skip & {a, b, w1, w2} \
+                    or not parents[w1] == {u} == parents[w2]:
+                continue
+            sugar[u] = f"<x{pos[a]}, x{pos[b]}>"
+            skip |= {w1, w2}
+        lines = []
+        for u in order:
+            if u not in skip:
+                body = sugar.get(u) or "{%s}" % ", ".join(
+                    f"x{i}" for i in sorted([pos[v] for v in members[u]]))
+                lines.append(f"x{pos[u]} = {body};")
+        return "\n".join(lines) + "\n"
+
+    return picture
+
+
+def _reach(members, u, limit: int) -> Optional[set]:
     """The nodes reachable from u, u included, or None once there are more
     than ``limit`` of them."""
     seen = {u}
     stack = [u]
     while stack:
-        for v in g.children[stack.pop()]:
+        for v in members[stack.pop()]:
             if v not in seen:
                 if len(seen) == limit:
                     return None
@@ -505,25 +509,14 @@ def _reach(g: Apg, u: int, limit: int) -> Optional[set[int]]:
     return seen
 
 
-def _numeral_values(g: Apg) -> list[Optional[int]]:
-    """num_val[u] = k iff u's children carry values 0..k-1, one each."""
-    vals: list[Optional[int]] = [None] * g.node_count
-    for u in _postorder(range(g.node_count), g.children):
-        kid_vals = [vals[v] for v in g.children[u]]
+def _numeral_values(members: dict) -> dict:
+    """num_val[u] = k iff u's members carry values 0..k-1, one each."""
+    vals: dict = dict.fromkeys(members)
+    for u in _postorder(members, members):
+        kid_vals = [vals[v] for v in members[u]]
         if None not in kid_vals and sorted(kid_vals) == list(range(len(kid_vals))):
             vals[u] = len(kid_vals)
     return vals
-
-
-def _decode_pair(g: Apg, u: int, parents, skip: set[int]):
-    """Kuratowski witnesses of u = <a, b> with a != b, when private to u."""
-    parts = _pair_parts(u, g.children.__getitem__)
-    if parts is None:
-        return None
-    a, b, w1, w2 = parts
-    if {w1, w2} & {a, b, g.root} or w1 in skip or w2 in skip:
-        return None
-    return parts if parents[w1] == {u} == parents[w2] else None
 
 
 def _pair_parts(p, members):

@@ -565,3 +565,160 @@ def a_g_picture(rows) -> Apg:
             children[r] = frozenset({new({r}), new({r, tail})})
     root = new(range(len(children)))
     return Apg(tuple(children), root)
+
+
+# --- the per-name solve path, kept as the reference for the joint one ---------
+# Each name's graph is trimmed out of the program on its own and
+# canonicalized on its own (Boffa: ``Universe.picture_of`` per set id), the
+# classes are read off the pictures, and every picture is printed by the
+# ``unparse`` below, which reads each graph's facts afresh.
+
+def reference_solve_names(program, mode: str, cap: int = 512, names=None):
+    """Canonical picture and equality class id of each name, as two dicts
+    in name order."""
+    from hypersets.boffa import Universe
+    from hypersets.apg import _iso_classes
+    from hypersets.canon import Semantics, canonicalize, equality_classes
+    from hypersets.errors import UndefinedName
+    from hypersets.hsl import flatten, flatten_into
+
+    if mode == "boffa":
+        u = Universe()
+        ids = flatten_into(program, u)
+        if names is None:
+            names = list(ids)
+        for name in names:
+            if name not in ids:
+                raise UndefinedName(f"name {name!r} is not defined")
+        return {name: u.picture_of(ids[name]) for name in names}, {name: ids[name] for name in names}
+    graphs = flatten(program, names)
+    s = Semantics(mode)
+    pics = {name: canonicalize(g, s, cap=cap).canonical for name, g in graphs.items()}
+    if s is Semantics.FAFA:  # the pictures are canonical: group them as they are
+        return pics, dict(zip(pics, _iso_classes(list(pics.values()), cap)))
+    return pics, dict(zip(pics, equality_classes(list(pics.values()), s, cap=cap)))
+
+
+def reference_solve_output(pics: dict, classes: dict, mode: str, as_json: bool = False) -> str:
+    """What ``hypersets solve`` prints, with ``--json`` or without, for the
+    pictures and classes ``reference_solve_names`` returns."""
+    import json
+
+    names = list(pics)
+    pairs = []
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            pairs.append((a, b, classes[a] == classes[b]))
+    if as_json:
+        doc = {
+            "mode": mode,
+            "sets": {name: reference_unparse(pics[name]) for name in names},
+            "pairs": [{"a": a, "b": b, "equal": e} for a, b, e in pairs],
+        }
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out = []
+    for name in names:
+        out.append(f"set {name}")
+        out.append(reference_unparse(pics[name]).rstrip("\n"))
+        out.append("")
+    for a, b, e in pairs:
+        out.append(f"{'equal' if e else 'distinct'} {a} {b}")
+    return "\n".join(out).rstrip("\n") + "\n"
+
+
+def reference_unparse(g: Apg) -> str:
+    """Equation system reproducing g up to pointed isomorphism, with the
+    numeral and pair sugar, from g's own parent sets and numeral values."""
+    from hypersets.apg import _bfs, _parent_sets
+
+    order = _bfs(g.root, [sorted(kids) for kids in g.children])
+    pos = {u: i for i, u in enumerate(order)}
+    parents = _parent_sets(g.children)
+
+    num_val = _reference_numeral_values(g)
+
+    skip: set[int] = set()
+    sugar: dict[int, object] = {}
+
+    for u in order:
+        k = num_val[u]
+        if k is None or u in skip:  # inside a numeral already sugared
+            continue
+        # u and its k children already make k + 1 nodes
+        reach = _reference_reach(g, u, k + 1)
+        if reach is None:
+            continue
+        interior = reach - {u}
+        if g.root in interior:
+            continue
+        if any(not parents[d] <= reach for d in interior):
+            continue
+        sugar[u] = str(k)
+        skip |= interior
+
+    for u in order:
+        if u in sugar or u in skip:
+            continue
+        decoded = _reference_decode_pair(g, u, parents, skip)
+        if decoded is None:
+            continue
+        a, b, w1, w2 = decoded
+        if a in skip or b in skip:
+            continue
+        sugar[u] = ("pair", a, b)
+        skip |= {w1, w2}
+
+    def name(u: int) -> str:
+        return f"x{pos[u]}"
+
+    lines = []
+    for u in order:
+        if u in skip:
+            continue
+        s = sugar.get(u)
+        if isinstance(s, str):
+            lines.append(f"{name(u)} = {s};")
+        elif isinstance(s, tuple):
+            _, a, b = s
+            lines.append(f"{name(u)} = <{name(a)}, {name(b)}>;")
+        else:
+            kids = sorted(g.children[u], key=lambda v: pos[v])
+            inner = ", ".join(name(v) for v in kids)
+            lines.append(f"{name(u)} = {{{inner}}};")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_reach(g: Apg, u: int, limit: int):
+    seen = {u}
+    stack = [u]
+    while stack:
+        for v in g.children[stack.pop()]:
+            if v not in seen:
+                if len(seen) == limit:
+                    return None
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def _reference_numeral_values(g: Apg) -> list:
+    from hypersets.apg import _postorder
+
+    vals: list = [None] * g.node_count
+    for u in _postorder(range(g.node_count), g.children):
+        kid_vals = [vals[v] for v in g.children[u]]
+        if None not in kid_vals and sorted(kid_vals) == list(range(len(kid_vals))):
+            vals[u] = len(kid_vals)
+    return vals
+
+
+def _reference_decode_pair(g: Apg, u: int, parents, skip: set[int]):
+    from hypersets.hsl import _pair_parts
+
+    parts = _pair_parts(u, g.children.__getitem__)
+    if parts is None:
+        return None
+    a, b, w1, w2 = parts
+    if {w1, w2} & {a, b, g.root} or w1 in skip or w2 in skip:
+        return None
+    return parts if parents[w1] == {u} == parents[w2] else None

@@ -14,7 +14,6 @@ from hypersets.canon import (
     equality_classes,
     is_canonical_picture,
     is_rigid,
-    picture_classes,
     to_dot,
 )
 from hypersets.equivalence import counting_partition, finsler_partition, max_bisimulation
@@ -173,8 +172,6 @@ class TestEqualityClasses:
             graphs = [random_apg(rng, 5) for _ in range(6)]
             for s in ALL_MODES:
                 classes = equality_classes(graphs, s)
-                pictures = [canonicalize(g, s).canonical for g in graphs]
-                assert picture_classes(pictures, s) == classes
                 assert classes[0] == 0 and max(classes) < len(set(classes))
                 for i, g in enumerate(graphs):
                     for j, h in enumerate(graphs):

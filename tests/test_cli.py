@@ -143,6 +143,28 @@ class TestSolve:
         assert outs[0] == outs[1]
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("names", [1, 300])  # 700 kB of verdicts at 300
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_exit_two_with_one_line(self, tmp_path, names, unbuffered):
+        path = tmp_path / "ring.hs-set"
+        path.write_text("".join(f"r{i} = {{r{(i + 1) % names}}};\n" for i in range(names)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before solve writes a byte
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "hypersets.cli", "solve", str(path)],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (EXIT_SEMANTIC, b"error: [Errno 32] Broken pipe\n")
+
+
 def random_program(rng: random.Random, names: int) -> str:
     """Equations over n0..n{names-1}: sets of names, pairs and numerals."""
     lines = []

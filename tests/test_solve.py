@@ -1,0 +1,257 @@
+"""``solve`` reads every picture off one settled graph and prints it with
+one shared printer.
+
+The differential tests hold it to the per-name path it replaced (kept in
+``oracles``): each name trimmed and canonicalized on its own, Boffa
+pictures read by ``Universe.picture_of``, and the old ``unparse``.  The
+complexity tests count calls instead of timing them, and the memory test
+measures the peak of ``solve`` on a ring whose verdicts alone fill 8 MB.
+"""
+
+import contextlib
+import io
+import random
+import tracemalloc
+
+import pytest
+
+from hypersets import apg, boffa, canon, cli, hsl
+from hypersets.apg import Apg, Partition
+from hypersets.canon import automorphisms, to_dot
+from hypersets.cli import _solve_names, main
+from hypersets.hsl import flatten, parse, unparse
+from hypersets.random_graphs import random_apg
+
+from oracles import reference_solve_names, reference_solve_output, reference_unparse
+
+def random_program(rng: random.Random, atoms: bool, max_names: int, max_depth: int) -> str:
+    """Definitions of n0.. over sets, tuples, numerals, aliases and atoms.
+
+    A name may alias an earlier one, be bound to a numeral that other terms
+    share, or repeat an earlier right-hand side, and terms repeat their own
+    members: repeated structure is what takes SAFA more than one round.
+    Terms name any definition, so the graphs are often cyclic.
+    """
+    names = [f"n{i}" for i in range(rng.randint(1, max_names))]
+    decls = [f"t{i}" for i in range(rng.randint(0, 3))] if atoms else []
+    refs = names + decls
+
+    def term(depth: int) -> str:
+        r = rng.random()
+        if depth and (depth >= max_depth or r < 0.3):  # a bare name on top is an alias
+            return rng.choice(refs) if rng.random() < 0.6 else str(rng.randint(0, 4))
+        if r < 0.75:
+            elems = [term(depth + 1) for _ in range(rng.randint(0, 3))]
+            if elems and rng.random() < 0.3:
+                elems.append(rng.choice(elems))
+            return "{" + ", ".join(elems) + "}"
+        return "<" + ", ".join(term(depth + 1) for _ in range(rng.randint(2, 3))) + ">"
+
+    rhs: list[str] = []
+    for i in range(len(names)):
+        r = rng.random()
+        if i and r < 0.15:
+            rhs.append(rng.choice(names[:i]))  # aliases point back: no alias cycles
+        elif i and r < 0.3:
+            rhs.append(rng.choice(rhs))
+        elif r < 0.4:
+            rhs.append(str(rng.randint(0, 5)))
+        else:
+            rhs.append(term(0))
+    lines = [f"{n} = {t};" for n, t in zip(names, rhs)] + [f"atom {a};" for a in decls]
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def run(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def partition(classes: dict) -> tuple:
+    return Partition.from_class_of(classes.values()).class_of
+
+
+@pytest.mark.parametrize("mode, seed, programs, max_names, max_depth", [
+    ("afa", 1, 400, 6, 3), ("safa", 2, 400, 6, 3), ("fafa", 3, 200, 4, 2), ("boffa", 4, 400, 6, 3),
+])
+def test_matches_per_name_path(tmp_path, monkeypatch, mode, seed, programs, max_names, max_depth):
+    """Pictures, classes, printed sets, ``solve`` and ``solve --json``
+    stdout, ``--dot`` files and ``aut`` generators agree with the per-name
+    path on random programs."""
+    rounds: list[int] = []  # per reference canonicalize call
+    partitions = [0]
+    blocks = canon._blocks
+
+    def counted_blocks(*args):
+        partitions[0] += 1
+        return blocks(*args)
+
+    def counted_canonicalize(g, s, cap=512, _f=canon.canonicalize):
+        before = partitions[0]
+        result = _f(g, s, cap=cap)
+        rounds.append(partitions[0] - before)
+        return result
+
+    monkeypatch.setattr(canon, "_blocks", counted_blocks)
+    monkeypatch.setattr(canon, "canonicalize", counted_canonicalize)
+    rng = random.Random(seed)
+    path, dot = tmp_path / "p.hs-set", tmp_path / "p.dot"
+    multi_round = 0
+    for _ in range(programs):
+        text = random_program(rng, mode == "boffa", max_names, max_depth)
+        program = parse(text)
+        del rounds[:]
+        pics, classes = reference_solve_names(program, mode)
+        multi_round += any(r > 1 for r in rounds)
+        sol = _solve_names(program, mode, 512)
+        assert list(sol.classes) == list(pics), text
+        assert partition(sol.classes) == partition(classes), text
+        for name, pic in pics.items():
+            assert sol.picture(name) == pic, (text, name)
+            assert sol.text(name) == reference_unparse(pic), (text, name)
+        path.write_text(text)
+        want = reference_solve_output(pics, classes, mode)
+        assert run(["solve", str(path), "--mode", mode]) == (0, want), text
+        want = reference_solve_output(pics, classes, mode, as_json=True)
+        assert run(["solve", str(path), "--mode", mode, "--json", "--dot", str(dot)]) == (0, want), text
+        assert dot.read_text() == "".join(to_dot(pic, name=name) for name, pic in pics.items())
+        name = rng.choice(list(pics))
+        group = automorphisms(pics[name])
+        want = [f"automorphism order {group.order}"]
+        want += ["generator " + " ".join(map(str, p)) for p in group.generators]
+        assert run(["aut", str(path), name, "--mode", mode]) == (0, "\n".join(want) + "\n"), text
+    if mode == "safa":
+        assert multi_round >= 100, multi_round
+
+
+def relabelled(rng: random.Random, g: Apg) -> Apg:
+    """g with its node ids shuffled, so that they are not breadth-first."""
+    perm = list(range(g.node_count))
+    rng.shuffle(perm)
+    children = [frozenset()] * g.node_count
+    for u, kids in enumerate(g.children):
+        children[perm[u]] = frozenset(perm[v] for v in kids)
+    return Apg(tuple(children), perm[g.root])
+
+
+def test_unparse_matches_reference_on_relabelled_graphs():
+    rng = random.Random(5)
+    graphs = [random_apg(rng, 9) for _ in range(500)]
+    while len(graphs) < 1200:
+        graphs += flatten(parse(random_program(rng, False, 4, 3))).values()
+    for g in graphs:
+        h = relabelled(rng, g)
+        assert unparse(h) == reference_unparse(h), h
+
+
+# --- complexity: counted calls, no clock -----------------------------------
+
+RING = 1000
+
+
+def ring_program(n: int) -> str:
+    return "".join(f"r{i} = {{r{(i + 1) % n}}};\n" for i in range(n))
+
+
+class ByteCount:
+    """A stdout that keeps only counts of bytes and lines, and the tail."""
+
+    def __init__(self):
+        self.size = 0
+        self.lines = 0
+        self.tail = ""
+
+    def write(self, text: str) -> int:
+        self.size += len(text.encode())
+        self.lines += text.count("\n")
+        self.tail = (self.tail + text)[-64:]
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def ring_lines(n: int) -> int:
+    """Lines ``solve`` prints for an n-name ring: per name a header, one
+    equation and a blank line, then one verdict per pair."""
+    return 3 * n + n * (n - 1) // 2
+
+
+@pytest.fixture(scope="module")
+def ring_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ring") / "ring.hs-set"
+    path.write_text(ring_program(RING))
+    return str(path)
+
+
+def count_calls(monkeypatch, owner_names, counts):
+    """Wrap each named function wherever the package holds it."""
+    for owner, name in owner_names:
+        fn = getattr(owner, name)
+        counts[name] = 0
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in (apg, boffa, canon, cli, hsl):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+        if owner is boffa.Universe:
+            monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("mode", ["afa", "safa"])
+def test_pure_solve_settles_once(monkeypatch, ring_path, mode):
+    counts: dict[str, int] = {}
+    count_calls(monkeypatch, [(canon, "_settle"), (apg, "trim_to_accessible"),
+                              (canon, "canonicalize")], counts)
+    sink = ByteCount()
+    monkeypatch.setattr("sys.stdout", sink)
+    assert main(["solve", ring_path, "--mode", mode]) == 0
+    assert counts["_settle"] == 1
+    assert counts["trim_to_accessible"] <= 1
+    assert counts["canonicalize"] == 0
+    assert sink.lines == ring_lines(RING)
+    assert sink.tail.endswith(f"equal r{RING - 2} r{RING - 1}\n")
+
+
+def test_boffa_solve_reads_no_picture_of(monkeypatch, tmp_path):
+    """Every Boffa picture of a ring is the whole ring, so a small one."""
+    path = tmp_path / "ring.hs-set"
+    path.write_text(ring_program(100))
+    counts: dict[str, int] = {}
+    count_calls(monkeypatch, [(boffa.Universe, "picture_of")], counts)
+    sink = ByteCount()
+    monkeypatch.setattr("sys.stdout", sink)
+    assert main(["solve", str(path), "--mode", "boffa"]) == 0
+    assert counts["picture_of"] == 0
+    assert sink.tail.endswith("distinct r98 r99\n")
+
+
+def test_solve_streams_its_verdicts(monkeypatch, ring_path):
+    """The verdicts of a 1,000-name ring fill about 8 MB; solve holds one
+    row of them at a time."""
+    sink = ByteCount()
+    monkeypatch.setattr("sys.stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["solve", ring_path]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 7_000_000
+    assert peak < 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("names", [0, 1, 2])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_few_names_print_as_before(tmp_path, names, as_json):
+    path = tmp_path / "p.hs-set"
+    path.write_text(ring_program(names) if names else "")
+    argv = ["solve", str(path)] + ["--json"] * as_json
+    want = reference_solve_output(*reference_solve_names(parse(path.read_text()), "afa"), "afa", as_json)
+    assert run(argv) == (0, want)
