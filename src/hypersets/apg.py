@@ -169,33 +169,32 @@ def trim_to_accessible(
     root: Hashable,
     labels: Optional[Mapping[Hashable, str]] = None,
 ) -> tuple[Apg, dict]:
-    """Induced subgraph on the nodes reachable from root, densely re-indexed.
+    """Induced subgraph on the nodes reachable from root, densely re-indexed
+    (``_trim``), as a validated ``Apg``, and the translation table old-id
+    -> new-id."""
+    kids, trans = _trim(children, root)
+    new_labels = {trans[u]: lab for u, lab in (labels or {}).items() if u in trans}
+    return Apg(kids, 0, new_labels), trans
 
-    Nodes are numbered in breadth-first discovery order (the root is 0);
-    children are visited in the order the input mapping lists them, so the
-    result is deterministic for a given input.  Returns the graph and the
-    translation table old-id -> new-id.
-    """
+
+def _trim(children, root) -> tuple[tuple[frozenset[int], ...], dict]:
+    """The child sets of the nodes reachable from root and the translation
+    table old-id -> new-id.  Nodes are numbered in breadth-first discovery
+    order (the root is 0), children visited in the order the input mapping
+    lists them, so the result is deterministic for a given input."""
     if root not in children:
         raise ValueError(f"root {root!r} is not a node")
     trans: dict = {root: 0}
     order = [root]
     for u in order:
         for v in children[u]:
-            if v not in children:
-                raise ValueError(f"edge {u!r}->{v!r} points outside the graph")
             if v not in trans:
-                trans[v] = len(trans)
+                if v not in children:
+                    raise ValueError(f"edge {u!r}->{v!r} points outside the graph")
+                trans[v] = len(order)
                 order.append(v)
-    new_children = tuple(
-        frozenset(trans[v] for v in children[u]) for u in order
-    )
-    new_labels = {}
-    if labels:
-        for u, lab in labels.items():
-            if u in trans:
-                new_labels[trans[u]] = lab
-    return Apg(new_children, 0, new_labels), trans
+    new_id = trans.__getitem__
+    return tuple([frozenset(map(new_id, children[u])) for u in order]), trans
 
 
 def is_well_founded(g: Apg) -> bool:
@@ -540,17 +539,14 @@ def pointed_isomorphic(
     if n != g2.node_count or g1.edge_count != g2.edge_count:
         return None
 
-    # Joint refinement over the disjoint union; both roots share a seed
-    # colour, and the fresh root, their only common parent, has its own.
-    children, roots = _union_under_fresh_root((g1, g2))
-    init = [0] * len(children)
-    init[0] = 2
-    for r in roots:
-        init[r] = 1
+    # Joint refinement over the disjoint union; both roots share a seed colour.
+    children = [*g1.children, *[frozenset([v + n for v in kids]) for kids in g2.children]]
+    init = [0] * (2 * n)
+    init[g1.root] = init[g2.root + n] = 1
     colors = _stable_colors(children, init)
 
-    c1 = colors[1:n + 1]
-    c2 = colors[n + 1:]
+    c1 = colors[:n]
+    c2 = colors[n:]
     if sorted(c1) != sorted(c2):
         return None
 

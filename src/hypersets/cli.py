@@ -17,8 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .apg import DEFAULT_ISO_CAP, Apg, _bfs, _iso_classes, _union_under_fresh_root
-from .apg import trim_to_accessible
+from .apg import DEFAULT_ISO_CAP, Apg, _bfs, _iso_classes, _trim, _union_under_fresh_root
 from .boffa import Universe
 from .canon import Semantics, _settle, automorphisms, canonicalize, equal, is_rigid, to_dot
 from .errors import (
@@ -137,8 +136,8 @@ def _solve_names(program: HslProgram, mode: str, cap: int, names=None, pictures=
     children, keys = _pure_graph(program, names)
     root = ("names",)  # fresh: every key of the program's graph has two or three parts
     children[root] = list(keys.values())
-    g, trans = trim_to_accessible(children, root)
-    settled, _, decoration, block_of, _ = _settle(g.children, 0, s, cap)
+    kids, trans = _trim(children, root)
+    settled, _, decoration, block_of, _ = _settle(kids, 0, s, cap)
     class_of = [block_of[d] for d in decoration]
     classes = {name: class_of[trans[key]] for name, key in keys.items()}
     if not pictures:
@@ -169,18 +168,22 @@ def cmd_solve(args) -> int:
             for name in names:
                 fh.write(to_dot(sol.picture(name), name=name))
 
-    if args.json:
-        doc = {
-            "mode": args.mode,
-            "sets": {name: sol.text(name) for name in names},
-            "pairs": [{"a": a, "b": b, "equal": sol.classes[a] == sol.classes[b]}
-                      for i, a in enumerate(names) for b in names[i + 1:]],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return EXIT_OK
-
     # One block, then one row of verdicts, at a time.
     out = sys.stdout
+    if args.json:  # the bytes of json.dumps(doc, indent=2, sort_keys=True), keys sorted
+        q = {name: json.dumps(name) for name in names}
+        out.write('{\n  "mode": %s,\n  "pairs": [' % json.dumps(args.mode))
+        for i, a in enumerate(names[:-1]):
+            c = sol.classes[a]
+            out.write(("," if i else "") + ",".join([
+                f'\n    {{\n      "a": {q[a]},\n      "b": {q[b]},\n      "equal": '
+                f'{"true" if sol.classes[b] == c else "false"}\n    }}' for b in names[i + 1:]]))
+        out.write('\n  ],\n  "sets": {' if len(names) > 1 else '],\n  "sets": {')
+        for i, name in enumerate(sorted(names)):
+            out.write(f'{"," if i else ""}\n    {q[name]}: {json.dumps(sol.text(name))}')
+        out.write("\n  }\n}\n" if names else "}\n}\n")
+        return EXIT_OK
+
     gap = "\n" if len(names) > 1 else ""
     for name in names:
         out.write(f"set {name}\n{sol.text(name)}{gap}")

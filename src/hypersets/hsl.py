@@ -14,6 +14,7 @@ semantics, where they mint labeled Quine atoms.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -88,155 +89,135 @@ class HslProgram:
 
 # --- parsing ----------------------------------------------------------------
 
-_PUNCT = set("{}<>=,;")
-
-
-def _tokenize(text: str):
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in _PUNCT:
-            yield (c, c, line, col)
-            col += 1
-            i += 1
-            continue
-        if c.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            yield ("NAT", int(text[i:j]), line, col)
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            yield ("ATOMKW" if word == "atom" else "NAME", word, line, col)
-            col += j - i
-            i = j
-            continue
-        raise HslSyntaxError(f"unexpected character {c!r}", line, col)
-    yield ("EOF", None, line, col)
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        kind_, value, line, col = self.peek()
-        if kind_ != kind:
-            shown = repr(value) if value is not None else "end of input"
-            raise HslSyntaxError(f"expected {kind!r}, found {shown}", line, col)
-        return self.advance()
-
-    def program(self) -> HslProgram:
-        statements: list[Statement] = []
-        seen: set[str] = set()
-        while self.peek()[0] != "EOF":
-            kind, _, line, col = self.peek()
-            if kind == "ATOMKW":
-                self.advance()
-                name = self.expect("NAME")[1]
-                self.expect(";")
-                stmt: Statement = AtomDecl(name)
-            elif kind == "NAME":
-                name = self.advance()[1]
-                self.expect("=")
-                term = _run(self.term())
-                self.expect(";")
-                stmt = Definition(name, term)
-            else:
-                raise HslSyntaxError("expected a definition or atom declaration", line, col)
-            if stmt.name in seen:
-                raise DuplicateDefinition(f"name {stmt.name!r} defined twice")
-            seen.add(stmt.name)
-            statements.append(stmt)
-        return HslProgram(tuple(statements))
-
-    def term(self):
-        """Generator for ``_run``: yields a generator for each sub-term and
-        receives its result."""
-        kind, value, line, col = self.peek()
-        if kind == "NAME":
-            self.advance()
-            return NameRef(value)
-        if kind == "NAT":
-            self.advance()
-            return NatTerm(value)
-        if kind == "{":
-            self.advance()
-            elems: list[Term] = []
-            if self.peek()[0] != "}":
-                elems.append((yield self.term()))
-                while self.peek()[0] == ",":
-                    self.advance()
-                    elems.append((yield self.term()))
-            self.expect("}")
-            return SetTerm(tuple(elems))
-        if kind == "<":
-            self.advance()
-            elems = [(yield self.term())]
-            while self.peek()[0] == ",":
-                self.advance()
-                elems.append((yield self.term()))
-            self.expect(">")
-            if len(elems) < 2:
-                raise HslSyntaxError("tuples need at least two components", line, col)
-            return TupleTerm(tuple(elems))
-        shown = repr(value) if value is not None else "end of input"
-        raise HslSyntaxError(f"expected a term, found {shown}", line, col)
+# One token per match, whitespace skipped between matches: a comment, a
+# punctuation mark, a numeral (Unicode decimal digits), a word, or any other
+# character.  A word is a name if it starts with a letter or "_".
+_TOKEN = re.compile(r"#[^\n]*|[{}<>=,;]|\d+|\w+|\S")
+_EOF = " "  # the token after the last: no token holds whitespace
 
 
 def parse(text: str) -> HslProgram:
-    return _Parser(text).program()
+    """The program in ``text``, read in one pass over its tokens.
 
-
-def _run(gen):
-    """The return value of a generator that yields a generator for each
-    recursive call and receives its result.  The calls run on an explicit
-    stack, so nesting depth is not bounded by Python's recursion limit."""
-    stack = [gen]
-    value = None
-    while stack:
-        try:
-            sub = stack[-1].send(value)
-        except StopIteration as done:
-            stack.pop()
-            value = done.value
+    Lexical errors (a character that starts no token, a numeral past
+    Python's ``int`` digit limit) come before every other error, the first
+    in text order winning: the parser checks each token it reads, and
+    ``_fail`` checks the rest before it reports anything else.
+    """
+    toks = _TOKEN.findall(text)
+    if "#" in text:
+        toks = [t for t in toks if t[0] != "#"]
+    n = len(toks)
+    toks.append(_EOF)
+    statements: list[Statement] = []
+    seen: set[str] = set()
+    i = 0
+    while i < n:
+        name = toks[i]
+        if name == "atom":
+            name = toks[i + 1]
+            if not _is_name(name):
+                _fail(text, toks, i + 1, "expected 'NAME'")
+            stmt: Statement = AtomDecl(name)
+            i += 2
+        elif _is_name(name):
+            if toks[i + 1] != "=":
+                _fail(text, toks, i + 1, "expected '='")
+            term, i = _term(text, toks, i + 2)
+            stmt = Definition(name, term)
         else:
-            stack.append(sub)
-            value = None
-    return value
+            _fail(text, toks, i, "expected a definition or atom declaration", found=False)
+        if toks[i] != ";":
+            _fail(text, toks, i, "expected ';'")
+        i += 1
+        if name in seen:
+            _check_tokens(text, toks)
+            raise DuplicateDefinition(f"name {name!r} defined twice")
+        seen.add(name)
+        statements.append(stmt)
+    return HslProgram(tuple(statements))
+
+
+def _is_name(t: str) -> bool:
+    return (t[0].isalpha() or t[0] == "_") and t != "atom"
+
+
+def _term(text: str, toks: list, i: int):
+    """The term that starts at token i, and the index of the token after
+    it.  Open sets and tuples wait on an explicit stack as (members so far,
+    closing token, index of the opening token)."""
+    stack = []
+    while True:
+        t = toks[i]
+        i += 1
+        if t == "{" and toks[i] == "}":
+            term = SetTerm(())
+            i += 1
+        elif t == "{" or t == "<":
+            stack.append(([], "}" if t == "{" else ">", i - 1))
+            continue
+        elif t[0].isdecimal():
+            term = NatTerm(int(t))
+        elif _is_name(t):
+            term = NameRef(t)
+        else:
+            _fail(text, toks, i - 1, "expected a term")
+        while stack:
+            elems, closer, at = stack[-1]
+            elems.append(term)
+            t = toks[i]
+            i += 1
+            if t == ",":
+                break
+            if t != closer:
+                _fail(text, toks, i - 1, f"expected {closer!r}")
+            stack.pop()
+            if closer == "}":
+                term = SetTerm(tuple(elems))
+            elif len(elems) < 2:
+                _fail(text, toks, at, "tuples need at least two components", found=False)
+            else:
+                term = TupleTerm(tuple(elems))
+        else:
+            return term, i
+
+
+def _check_tokens(text: str, toks: list):
+    """Raise the first lexical error among the tokens, if there is one."""
+    for k, t in enumerate(toks[:-1]):
+        c = t[0]
+        if c.isdecimal():
+            int(t)
+        elif not (c.isalpha() or c == "_" or c in "{}<>=,;"):
+            raise HslSyntaxError(f"unexpected character {c!r}", *_where(text, k))
+
+
+def _fail(text: str, toks: list, k: int, message: str, found: bool = True):
+    """Raise the syntax error ``message`` at token k, unless the tokens
+    hold a lexical error."""
+    _check_tokens(text, toks)
+    if found:
+        t = toks[k]
+        shown = "end of input" if t is _EOF else repr(int(t) if t[0].isdecimal() else t)
+        message = f"{message}, found {shown}"
+    raise HslSyntaxError(message, *_where(text, k))
+
+
+def _where(text: str, k: int) -> tuple[int, int]:
+    """Line and column of token k, comments not counted, or of the end of
+    input when k is past the last token.  Only "\\n" starts a line; every
+    other character takes one column.  The end of input stops before a
+    comment on the last line."""
+    starts = [m.start() for m in _TOKEN.finditer(text) if text[m.start()] != "#"]
+    comment = text.find("#", text.rfind("\n") + 1)
+    at = starts[k] if k < len(starts) else len(text) if comment < 0 else comment
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 # --- flattening -------------------------------------------------------------
+
+_PAIR = object()  # in _GraphBuilder._term_key's work: pair the last two keys
+
 
 class _GraphBuilder:
     """Desugars a program into one big membership graph over node keys."""
@@ -246,7 +227,8 @@ class _GraphBuilder:
         self.children: dict = dict(old_children or {})
         self.serial = 0
         self.edges = 0  # edges emitted so far, held to FLATTEN_EDGE_BUDGET
-        self.alias: dict[str, object] = dict(old_names or {})  # name -> key or alias chain
+        self.alias: dict[str, object] = dict(old_names or {})  # name -> key or ("name", name)
+        self.named: list[list] = []  # the child lists that hold a ("name", name)
         bound: set[str] = set()
         for stmt in program.statements:
             if stmt.name in bound:
@@ -255,50 +237,64 @@ class _GraphBuilder:
         known = bound | set(self.alias)
         for stmt in program.statements:
             if isinstance(stmt, Definition):
-                self.alias[stmt.name] = _run(self._term_key(stmt.term, known))
+                self.alias[stmt.name] = self._term_key(stmt.term, known)
         self._resolve_aliases()
 
     def _fresh(self, tag: str):
         self.serial += 1
         return (tag, self.serial)
 
+    def _set(self, key, kids: list):
+        # A list that holds a name is patched once the names are resolved.
+        self.children[key] = kids
+        self.edges += len(kids)
+        for k in kids:
+            if k[0] == "name":
+                self.named.append(kids)
+                break
+        return key
+
     def _term_key(self, term: Term, known: set[str]):
-        """Generator for ``_run``: the node key of a term."""
-        if isinstance(term, NameRef):
-            if term.name not in known:
-                raise UndefinedName(f"name {term.name!r} is never defined")
-            return ("name", term.name)
-        if isinstance(term, SetTerm):
-            key = self._fresh("set")
-            kids = []
-            for t in term.elems:
-                kids.append((yield self._term_key(t, known)))
-            self.children[key] = kids
-            self.edges += len(kids)
-            return key
-        if isinstance(term, TupleTerm):
-            rest = term.elems
-            right = yield self._term_key(rest[-1], known)
-            for t in reversed(rest[:-1]):
-                right = self._pair((yield self._term_key(t, known)), right)
-            return right
-        if isinstance(term, NatTerm):
-            return self._numeral(term.value)
-        raise TypeError(f"unknown term {term!r}")
+        """The node key of a term, computed from a stack of work: terms, the
+        mark ``_PAIR`` and (set key, member count) closings.  Serials are
+        taken as by recursion: a set's key before its members', a tuple's
+        components right to left, each paired as soon as it is keyed."""
+        todo, keys = [term], []
+        while todo:
+            t = todo.pop()
+            if t is _PAIR:
+                a = keys.pop()
+                keys.append(self._pair(a, keys.pop()))
+            elif type(t) is tuple:
+                key, n = t
+                kids = keys[len(keys) - n:]
+                del keys[len(keys) - n:]
+                keys.append(self._set(key, kids))
+            elif isinstance(t, NameRef):
+                if t.name not in known:
+                    raise UndefinedName(f"name {t.name!r} is never defined")
+                keys.append(("name", t.name))
+            elif isinstance(t, SetTerm):
+                todo.append((self._fresh("set"), len(t.elems)))
+                todo.extend(reversed(t.elems))
+            elif isinstance(t, TupleTerm):
+                for e in t.elems[:-1]:
+                    todo += (_PAIR, e)
+                todo.append(t.elems[-1])
+            elif isinstance(t, NatTerm):
+                keys.append(self._numeral(t.value))
+            else:
+                raise TypeError(f"unknown term {t!r}")
+        return keys[0]
 
     def _pair(self, a, b):
         """Kuratowski pair {{a}, {a, b}}; collapses to {{a}} when a is b."""
         w1 = self._fresh("set")
-        self.children[w1] = [a]
         p = self._fresh("set")
+        self._set(w1, [a])
         if a == b:
-            self.children[p] = [w1]
-        else:
-            w2 = self._fresh("set")
-            self.children[w2] = [a, b]
-            self.children[p] = [w1, w2]
-        self.edges += 2 if a == b else 5
-        return p
+            return self._set(p, [w1])
+        return self._set(p, [w1, self._set(self._fresh("set"), [a, b])])
 
     def _numeral(self, k: int):
         # The one construct that grows faster than the program text.
@@ -309,32 +305,31 @@ class _GraphBuilder:
             )
         base = self.serial + 1
         self.serial += k + 1
-        for i in range(k + 1):
-            self.children[("num", base, i)] = [("num", base, j) for j in range(i)]
-        return ("num", base, k)
+        nodes = [("num", base, i) for i in range(k + 1)]
+        for i, node in enumerate(nodes):
+            self.children[node] = nodes[:i]
+        return nodes[-1]
 
     def _resolve_aliases(self):
-        def target(name: str):
-            seen = []
-            key: object = ("name", name)
-            while isinstance(key, tuple) and key[0] == "name":
-                nm = key[1]
-                if nm in seen:
-                    cycle = " -> ".join(seen + [nm])
+        """``node_of``: each name's node key, found by following its alias
+        chain; then each ("name", name) in a child list becomes that key.
+        Names resolve in ``self.alias`` order, and a chain stops at the
+        first name resolved before, so each name is walked once."""
+        node_of: dict = {}
+        for name, key in self.alias.items():
+            walk = {name: None}  # the names on this chain, in order
+            while key[0] == "name" and key[1] not in node_of:
+                if key[1] in walk:
+                    cycle = " -> ".join([*walk, key[1]])
                     raise ValueError(f"alias cycle {cycle} has no unique solution")
-                seen.append(nm)
-                key = self.alias[nm]
-            return key
-
-        resolved = {name: target(name) for name in self.alias}
-        self.node_of = resolved
-        self.children = {
-            key: [
-                resolved[c[1]] if isinstance(c, tuple) and c[0] == "name" else c
-                for c in kids
-            ]
-            for key, kids in self.children.items()
-        }
+                walk[key[1]] = None
+                key = self.alias[key[1]]
+            node_of.update(dict.fromkeys(walk, node_of[key[1]] if key[0] == "name" else key))
+        self.node_of = node_of
+        for kids in self.named:
+            for j, c in enumerate(kids):
+                if c[0] == "name":
+                    kids[j] = node_of[c[1]]
 
 
 def flatten(program: HslProgram, names: Optional[Iterable[str]] = None) -> dict[str, Apg]:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 import time
 
@@ -15,6 +17,7 @@ from hypersets.errors import (
     UndefinedName,
 )
 from hypersets import hsl
+from hypersets.cli import main
 from hypersets.grouplab import decode_pair, make_order_gadget
 from hypersets.hsl import (
     AtomDecl,
@@ -73,6 +76,118 @@ class TestParse:
             parse("p = <a>; a = {};")
 
 
+# Every kind of front-end error, with its exact type and message.  Columns
+# count characters after the last "\n" (tab, CR, "\x0b", "\x1c", "\x85" and
+# "\u2028" take one each), the end of input stops before a comment on the
+# last line, and the first lexical error in the text beats any later syntax
+# error and any duplicate definition.
+ERRORS = [
+    ("x = {x}\ny = {};", HslSyntaxError, "2:1: expected ';', found 'y'"),
+    ("x = <a, b>\r\ny", HslSyntaxError, "2:1: expected ';', found 'y'"),
+    ("x = $;", HslSyntaxError, "1:5: unexpected character '$'"),
+    ("x = {a b};", HslSyntaxError, "1:8: expected '}', found 'b'"),
+    ("p = <a>; a = {};", HslSyntaxError, "1:5: tuples need at least two components"),
+    ("x = <<a, b>>;", HslSyntaxError, "1:5: tuples need at least two components"),
+    ("x = {", HslSyntaxError, "1:6: expected a term, found end of input"),
+    ("x = {}", HslSyntaxError, "1:7: expected ';', found end of input"),
+    ("x = {}  # no semicolon", HslSyntaxError, "1:9: expected ';', found end of input"),
+    ("x = {}\t# tab, then a comment", HslSyntaxError, "1:8: expected ';', found end of input"),
+    ("x = {} # c\n", HslSyntaxError, "2:1: expected ';', found end of input"),
+    ("x = {a}\n\n  # note", HslSyntaxError, "3:3: expected ';', found end of input"),
+    ("= x;", HslSyntaxError, "1:1: expected a definition or atom declaration"),
+    (";", HslSyntaxError, "1:1: expected a definition or atom declaration"),
+    ("9y = {};", HslSyntaxError, "1:1: expected a definition or atom declaration"),
+    ("atom = {};", HslSyntaxError, "1:6: expected 'NAME', found '='"),
+    ("atom atom;", HslSyntaxError, "1:6: expected 'NAME', found 'atom'"),
+    ("x = {atom};", HslSyntaxError, "1:6: expected a term, found 'atom'"),
+    ("atom a", HslSyntaxError, "1:7: expected ';', found end of input"),
+    ("atom 5;", HslSyntaxError, "1:6: expected 'NAME', found 5"),
+    ("x y;", HslSyntaxError, "1:3: expected '=', found 'y'"),
+    ("x = y z;", HslSyntaxError, "1:7: expected ';', found 'z'"),
+    ("x = <a, b;", HslSyntaxError, "1:10: expected '>', found ';'"),
+    ("x = <a, b};", HslSyntaxError, "1:10: expected '>', found '}'"),
+    ("x = {a>;", HslSyntaxError, "1:7: expected '}', found '>'"),
+    ("x = {a,};", HslSyntaxError, "1:8: expected a term, found '}'"),
+    ("x\t=\t{,};", HslSyntaxError, "1:6: expected a term, found ','"),
+    ("x =\r\n{y,;", HslSyntaxError, "2:4: expected a term, found ';'"),
+    ("x = \x0b{$};", HslSyntaxError, "1:7: unexpected character '$'"),
+    ("x = \x1c{};\x0c\x85y = %;", HslSyntaxError, "1:15: unexpected character '%'"),
+    ("x = {\x1c\x1d\x1e\x1f\x85$};", HslSyntaxError, "1:11: unexpected character '$'"),
+    ("x = {}\u2028; y = {\u2028};\u2028z", HslSyntaxError, "1:20: expected '=', found end of input"),
+    ("x = ²;", HslSyntaxError, "1:5: unexpected character '²'"),
+    ("x² = {}; y = {x² ²};", HslSyntaxError, "1:18: unexpected character '²'"),
+    ("x = ٣; y = {x, ٣ ٤};", HslSyntaxError, "1:18: expected '}', found 4"),
+    ("x = {007 y};", HslSyntaxError, "1:10: expected '}', found 'y'"),
+    ("x = {a 007};", HslSyntaxError, "1:8: expected '}', found 7"),
+    ("\ufeffx = {};", HslSyntaxError, "1:1: unexpected character '\\ufeff'"),
+    ("x = {}; x = {x};", DuplicateDefinition, "name 'x' defined twice"),
+    ("atom x; x = {};", DuplicateDefinition, "name 'x' defined twice"),
+    ("x = {}; x = {x}; $", HslSyntaxError, "1:18: unexpected character '$'"),
+    ("x = {; y = $;", HslSyntaxError, "1:12: unexpected character '$'"),
+    ("x = {}; y = {x} z = @;", HslSyntaxError, "1:21: unexpected character '@'"),
+]
+
+
+class TestFrontEnd:
+    @pytest.mark.parametrize("text, exc, message", ERRORS)
+    def test_error_kind_and_position(self, text, exc, message):
+        with pytest.raises(exc) as err:
+            parse(text)
+        assert type(err.value) is exc and str(err.value) == message
+
+    @pytest.mark.parametrize("rest, first", [
+        ("y = {; z = $;", "long"),  # the numeral comes first in the text
+        ("y = $;", "long"),
+    ])
+    def test_numeral_past_the_int_digit_limit_raises_in_text_order(self, rest, first):
+        long = "1" * 5000
+        try:
+            int(long)
+        except ValueError as exc:
+            want = (ValueError, str(exc))
+        else:  # no digit limit in this interpreter: the next error shows
+            want = (HslSyntaxError, "1:5011: " + ("expected a term, found ';'" if "{" in rest
+                                                  else "unexpected character '$'"))
+        with pytest.raises(want[0]) as err:
+            parse(f"x = {long}; {rest}")
+        assert str(err.value) == want[1]
+        with pytest.raises(HslSyntaxError, match="unexpected character '\\$'"):
+            parse(f"x = $; y = {long};")
+
+    DEPTH = 5000
+
+    @pytest.mark.parametrize("nest", [
+        "<" * DEPTH + "a, b" + ">, b" * (DEPTH - 1) + ">",
+        "{<" * DEPTH + "a" + ", b>}" * DEPTH,
+    ])
+    def test_deep_nesting_needs_no_recursion(self, nest):
+        program = parse(f"x = {nest}; a = {{}}; b = {{a}};")
+        g = flatten(program)["x"]
+        assert g.node_count > 3 * self.DEPTH
+        ids = flatten_into(program, Universe())
+        assert len(set(ids.values())) == 3
+
+    def test_long_alias_chain_in_linear_time(self, tmp_path):
+        n = 20_000
+        text = "".join(f"a{i} = a{i + 1};\n" for i in range(n)) + f"a{n} = {{}};\n"
+        program = parse(text)
+        start = time.perf_counter()
+        graphs = flatten(program)
+        assert time.perf_counter() - start < 1.0
+        assert graphs["a0"] == graphs[f"a{n}"]
+        start = time.perf_counter()
+        assert len(set(flatten_into(program, Universe()).values())) == 1
+        assert time.perf_counter() - start < 1.0
+        path = tmp_path / "chain.hs-set"
+        path.write_text(text)
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            assert main(["eq", str(path), "a0", f"a{n}"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert out.getvalue() == "equal\n"
+
+
 class TestFlatten:
     def test_quine(self):
         g = flatten(parse("x = {x};"))["x"]
@@ -118,6 +233,8 @@ class TestFlatten:
     def test_alias_cycle_rejected(self):
         with pytest.raises(ValueError):
             flatten(parse("x = y; y = x;"))
+        with pytest.raises(ValueError, match="^alias cycle a -> b -> c -> b has no unique solution$"):
+            flatten(parse("a = b; b = c; c = b;"))
 
     def test_forward_reference(self):
         gs = flatten(parse("x = {y}; y = {};"))

@@ -247,6 +247,31 @@ def test_solve_streams_its_verdicts(monkeypatch, ring_path):
     assert peak < 16 * 2**20, peak
 
 
+def test_solve_json_streams_its_pairs(monkeypatch, ring_path):
+    """The JSON of a 1,000-name ring fills about 35 MB; ``solve --json``
+    holds one row of pairs at a time."""
+    sink = ByteCount()
+    monkeypatch.setattr("sys.stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["solve", ring_path, "--json"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 30_000_000
+    assert peak < 32 * 2**20, peak
+    assert sink.tail.endswith('"r999": "x0 = {x0};\\n"\n  }\n}\n')
+
+
+@pytest.mark.parametrize("mode", ["afa", "safa", "fafa", "boffa"])
+def test_json_is_json_dumps_for_many_names(tmp_path, mode):
+    path = tmp_path / "p.hs-set"
+    path.write_text(ring_program(7) + "é = 3; _q = <r0, é>; Z = {}; a_1 = {Z, r3};\n", encoding="utf-8")
+    pics, classes = reference_solve_names(parse(path.read_text(encoding="utf-8")), mode)
+    want = reference_solve_output(pics, classes, mode, as_json=True)
+    assert run(["solve", str(path), "--mode", mode, "--json"]) == (0, want)
+
+
 @pytest.mark.parametrize("names", [0, 1, 2])
 @pytest.mark.parametrize("as_json", [False, True])
 def test_few_names_print_as_before(tmp_path, names, as_json):
