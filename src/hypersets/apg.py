@@ -9,6 +9,7 @@ child collections are sets (no parallel edges).
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -445,11 +446,18 @@ def isomorphisms(ch1, colors1, ch2, colors2) -> Iterator[tuple[int, ...]]:
     return _search_with_order(ch1, colors1, ch2, colors2)[0]
 
 
-def _search_with_order(ch1, colors1, ch2, colors2):
+def _search_with_order(ch1, colors1, ch2, colors2, orbit=None):
     """``isomorphisms``' generator and the order in which it maps the nodes
-    of graph 1."""
+    of graph 1.
+
+    An automorphism search (``ch2 is ch1``) may pass ``orbit``, an orbit id
+    per node that the caller updates as leaves come back.  While the first
+    d nodes of the order are mapped to themselves, node d then tries itself
+    first and skips the rest of its orbit.
+    """
     n = len(ch1)
-    par1, par2 = _parent_sets(ch1), _parent_sets(ch2)
+    par1 = _parent_sets(ch1)
+    par2 = par1 if ch2 is ch1 else _parent_sets(ch2)
     by_color: dict[int, list[int]] = {}
     for w in range(len(ch2)):
         by_color.setdefault(colors2[w], []).append(w)
@@ -482,9 +490,21 @@ def _search_with_order(ch1, colors1, ch2, colors2):
                     return False
             return True
 
+        fixed = [True] * n  # fixed[k]: the first k nodes are mapped to themselves
+
+        def candidates(k: int) -> Iterator[int]:
+            u = order[k]
+            ws = by_color.get(colors1[u], ())
+            if orbit is None:
+                return iter(ws)
+            fixed[k] = not k or fixed[k - 1] and fwd[order[k - 1]] == order[k - 1]
+            if not fixed[k]:
+                return iter(ws)
+            return itertools.chain((u,), (w for w in ws if orbit[w] != orbit[u]))
+
         # Depth-first over an explicit stack of candidate iterators, one per
         # mapped node, so the depth is not bounded by Python's recursion limit.
-        stack = [iter(by_color.get(colors1[order[0]], ()))]
+        stack = [candidates(0)]
         while stack:
             u = order[len(stack) - 1]
             if fwd[u] >= 0:  # undo this depth's previous choice
@@ -505,7 +525,7 @@ def _search_with_order(ch1, colors1, ch2, colors2):
                         fwd[v] = -1
                     del stack[depth + 1:]
             else:
-                stack.append(iter(by_color.get(colors1[order[len(stack)]], ())))
+                stack.append(candidates(len(stack)))
 
     return leaves(), order
 

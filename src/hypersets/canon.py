@@ -12,6 +12,7 @@ module: there equality is plain node identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -185,18 +186,22 @@ def automorphisms(g: Apg, cap: int = DEFAULT_ISO_CAP) -> AutomorphismGroup:
 
     The search maps the nodes in a fixed order, the chain's base b_0, b_1,
     ...  Each leaf is sent back to the first depth d at which it moves a
-    node, so below images that fix b_0 .. b_(d-1) the search finds one
-    automorphism per image of b_d other than b_d: one coset representative
-    of the stabilizer of b_0 .. b_d in that of b_0 .. b_(d-1).  The order
-    is the product of the chain's orbit sizes, one plus the representatives
-    at each depth, as in Sims' method (Seress, *Permutation Group
-    Algorithms*, 2003); individualizing along the search follows McKay &
-    Piperno (J. Symb. Comput. 2014).  Going from the deepest level up, a
-    representative is dropped when the others kept at its level, with the
+    node.  While b_0 .. b_(d-1) are mapped to themselves, b_d tries itself
+    first, so leaves come at non-increasing depths and all found so far fix
+    b_0 .. b_(d-1); b_d then skips every image in its orbit under them
+    (orbit pruning, McKay & Piperno, J. Symb. Comput. 2014).  So each leaf
+    at least doubles the group found, and b_d's orbit once its last leaf is
+    in is its orbit under the stabilizer of b_0 .. b_(d-1).  The order is
+    the product of these orbits' sizes, as in Sims' method (Seress,
+    *Permutation Group Algorithms*, 2003).  Going from the deepest level
+    up, a leaf is dropped when the others kept at its level, with the
     deeper generators, still reach b_d's whole orbit.
     """
-    search, base = _automorphism_search(g, cap)
-    reps: dict[int, list[tuple[int, ...]]] = {}
+    orbit = list(range(g.node_count))  # an orbit id per node, under the leaves so far
+    members: dict[int, list[int]] = {}  # the nodes of each orbit of two or more
+    search, base = _automorphism_search(g, cap, orbit)
+    reps: dict[int, list[tuple[int, ...]]] = {}  # leaves by depth, deepest first
+    sizes: dict[int, int] = {}
     depth = None
     while True:
         try:
@@ -204,20 +209,28 @@ def automorphisms(g: Apg, cap: int = DEFAULT_ISO_CAP) -> AutomorphismGroup:
         except StopIteration:
             break
         depth = next((d for d, u in enumerate(base) if leaf[u] != u), None)
-        if depth is not None:
-            reps.setdefault(depth, []).append(leaf)
-    order = 1
+        if depth is None:
+            continue
+        reps.setdefault(depth, []).append(leaf)
+        for x, y in enumerate(leaf):
+            a, b = orbit[x], orbit[y]
+            if a != b:  # at most n - 1 merges, so O(n^2) in all
+                moved = members.pop(b, [b])
+                for v in moved:
+                    orbit[v] = a
+                members.setdefault(a, [a]).extend(moved)
+        sizes[depth] = len(members[orbit[base[depth]]])
     gens: list[tuple[int, ...]] = []
-    for depth in sorted(reps, reverse=True):
-        orbit_size = len(reps[depth]) + 1
-        order *= orbit_size
-        kept = reps[depth]
-        for p in reps[depth]:
+    for depth, leaves in reps.items():
+        kept = leaves
+        for p in leaves:
             rest = [q for q in kept if q is not p]
-            if len(_orbit(base[depth], gens + rest)) == orbit_size:
+            if len(_orbit(base[depth], gens + rest)) == sizes[depth]:
                 kept = rest
         gens += kept
-    return AutomorphismGroup(order=order, generators=tuple(gens), degree=g.node_count)
+    return AutomorphismGroup(
+        order=math.prod(sizes.values()), generators=tuple(gens), degree=g.node_count
+    )
 
 
 def _orbit(point: int, perms: list[tuple[int, ...]]) -> set[int]:
@@ -238,15 +251,16 @@ def is_rigid(g: Apg, cap: int = DEFAULT_ISO_CAP) -> bool:
     return all(p == identity for p in _automorphism_search(g, cap)[0])
 
 
-def _automorphism_search(g: Apg, cap: int):
+def _automorphism_search(g: Apg, cap: int, orbit=None):
     """The one search over the automorphisms of g, from colours that fix
-    the root, and the order in which it maps the nodes (the chain's base)."""
+    the root, and the order in which it maps the nodes (the chain's base).
+    ``orbit`` prunes the search as in ``apg._search_with_order``."""
     if g.node_count > cap:
         raise SizeLimitExceeded(f"automorphism search capped at {cap} nodes")
     init = [0] * g.node_count
     init[g.root] = 1  # the root is fixed by every automorphism
     colors = _stable_colors(g.children, init)
-    return _search_with_order(g.children, colors, g.children, colors)
+    return _search_with_order(g.children, colors, g.children, colors, orbit)
 
 
 def to_dot(g: Apg, name: str = "hyperset") -> str:

@@ -184,10 +184,17 @@ def classify_map(u: LevelledUniverse, m: ExtendedMap) -> MapReport:
         for y, my in zip(top, image)
     )
 
+    pure = dict.fromkeys(u.atoms, False)  # no atom in the transitive closure
+
+    def is_pure(x: int) -> bool:
+        if x not in pure:
+            pure[x] = all(map(is_pure, u.members[x]))
+        return pure[x]
+
     pure_fixed = all(
         u.hereditary_value(x) == target.hereditary_value(m.full_map[x])
         for x in top
-        if not u.atom_support(x)
+        if is_pure(x)
     )
     rank_ok = all(u.rank(x) == target.rank(m.full_map[x]) for x in top)
     same_universe = target is u

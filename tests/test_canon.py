@@ -5,9 +5,11 @@ import time
 
 import pytest
 
-from hypersets.apg import Apg, DEFAULT_ISO_CAP, pointed_isomorphic, quotient, trim_to_accessible
+from hypersets import canon
+from hypersets.apg import Apg, DEFAULT_ISO_CAP, _stable_colors, pointed_isomorphic, quotient, trim_to_accessible
 from hypersets.canon import (
     Semantics,
+    _automorphism_search,
     automorphisms,
     canonicalize,
     equal,
@@ -20,7 +22,7 @@ from hypersets.equivalence import counting_partition, finsler_partition, max_bis
 from hypersets.boffa import Universe
 from hypersets.errors import SizeLimitExceeded
 from hypersets.grouplab import PRESET_NAMES, build_A_G, preset_group
-from hypersets.wflab import build_universe
+from hypersets.wflab import all_automorphisms, build_universe
 from hypersets.random_graphs import random_apg, random_performance_graph
 
 from oracles import (
@@ -154,6 +156,38 @@ def relabelled(rng: random.Random, g: Apg) -> Apg:
     for u, kids in enumerate(g.children):
         children[perm[u]] = fs(perm[v] for v in kids)
     return Apg(tuple(children), perm[g.root])
+
+
+def crown(n: int) -> Apg:
+    """A root over the n-ring a_i -> a_(i+1 mod n); its group is Z_n."""
+    return Apg((fs(range(1, n + 1)), *(fs([(i + 1) % n + 1]) for i in range(n))), 0)
+
+
+def ring_of_rings(k: int, m: int) -> Apg:
+    """A root over a k-ring whose nodes also point to an m-ring each; its
+    group is Z_m wr Z_k, of order k m^k."""
+    inner = [[1 + k + i * m + j for j in range(m)] for i in range(k)]
+    kids = [fs(range(1, k + 1))]
+    kids += [fs([(i + 1) % k + 1, *inner[i]]) for i in range(k)]
+    kids += [fs([ring[(j + 1) % m]]) for ring in inner for j in range(m)]
+    return Apg(tuple(kids), 0)
+
+
+def atom_blocks(k: int, m: int) -> Apg:
+    """A root over k blocks of m Quine atoms; its group is S_m wr S_k."""
+    kids = [fs(range(1, k + 1))]
+    kids += [fs(range(1 + k + i * m, 1 + k + (i + 1) * m)) for i in range(k)]
+    kids += [fs([v]) for v in range(1 + k, 1 + k + k * m)]
+    return Apg(tuple(kids), 0)
+
+
+def copies_under_root(h: Apg, c: int) -> Apg:
+    """c disjoint copies of h below a fresh root 0."""
+    k = h.node_count
+    kids = [fs(1 + i * k + h.root for i in range(c))]
+    for i in range(c):
+        kids += [fs(1 + i * k + v for v in vs) for vs in h.children]
+    return Apg(tuple(kids), 0)
 
 
 class TestEqualityClasses:
@@ -440,6 +474,74 @@ class TestAutomorphisms:
             assert_irredundant_generators(group.generators, group.elements, g.node_count)
             orders.append(group.order)
         assert sum(order >= 6 for order in orders) >= 150
+
+    def test_chain_on_relabelled_symmetric_shapes(self):
+        # Shuffled ids put base nodes after other nodes of their colour
+        # class, so a depth's node has candidate images on both sides of
+        # it.  Wreath products of Quine atoms, two or three copies of a
+        # small graph under one root, crowns and rings of rings.
+        rng = random.Random(77)
+        sizes = [(1, 5), (1, 6), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 1)]
+        graphs = [atom_blocks(k, m) for k, m in sizes if math.factorial(m) ** k * math.factorial(k) < 2000]
+        graphs += [ring_of_rings(k, m) for k, m in sizes]
+        graphs += [crown(n) for n in range(1, 16)]
+        for _ in range(60):
+            graphs.append(copies_under_root(random_apg(rng, rng.randint(1, 4)), rng.randint(2, 3)))
+        graphs = [relabelled(rng, g) for g in graphs for _ in range(4)]
+        out_of_order = 0
+        for g in graphs:
+            group = automorphisms(g)
+            perms = exhaustive_automorphisms(g)
+            assert group.order == len(perms), g.children
+            assert group.elements == tuple(perms), g.children
+            assert_irredundant_generators(group.generators, group.elements, g.node_count)
+            colors = _stable_colors(g.children, [int(u == g.root) for u in range(g.node_count)])
+            least = {}
+            for u in range(g.node_count):
+                least.setdefault(colors[u], u)
+            base = _automorphism_search(g, DEFAULT_ISO_CAP)[1]
+            out_of_order += any(least[colors[b]] != b for b in base if group.order > 1)
+        assert out_of_order >= len(graphs) // 2
+
+    @pytest.mark.parametrize("name", ["crown 64", "crown 256", "crown 510", "12 Quine atoms", "wf 8 atoms"])
+    def test_each_leaf_at_least_doubles_the_group(self, monkeypatch, name):
+        # Orbit pruning: a leaf comes back only for an image outside the
+        # orbit of the leaves found so far, so it at least doubles the group
+        # they generate, and leaves - 1 <= log2(order).  Leaves come at
+        # non-increasing first-moved depths.  Counted, not timed.
+        depths = []
+        search = canon._automorphism_search
+
+        def counted(g, cap, orbit=None):
+            leaves, base = search(g, cap, orbit)
+
+            def relay():
+                depth = None
+                while True:
+                    try:
+                        leaf = leaves.send(depth)
+                    except StopIteration:
+                        return
+                    depths.append(next((d for d, u in enumerate(base) if leaf[u] != u), len(base)))
+                    depth = yield leaf
+
+            return relay(), base
+
+        monkeypatch.setattr(canon, "_automorphism_search", counted)
+        if name.startswith("crown"):
+            n = int(name.split()[1])
+            order = automorphisms(relabelled(random.Random(78), crown(n))).order
+            assert order == n
+        elif name == "12 Quine atoms":
+            u = Universe()
+            atoms = [u.add_quine_atom() for _ in range(12)]
+            order = automorphisms(u.picture_of(u.add_set(atoms))).order
+            assert order == math.factorial(12)
+        else:
+            order = all_automorphisms(build_universe(8, 1)).count
+            assert order == math.factorial(8)
+        assert len(depths) - 1 <= math.log2(order), depths
+        assert depths == sorted(depths, reverse=True), depths
 
     def test_is_rigid_consistent_with_order(self):
         rng = random.Random(63)

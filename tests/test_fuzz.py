@@ -3,21 +3,26 @@ code (0, 1, 2, 3, 10 or 11), never in a traceback, and within a wall-clock
 bound.
 
 The draws cover random bytes (invalid UTF-8 included), programs from a
-small grammar, REPL sessions, sets of up to twelve Quine atoms, ``wf`` flag
-vectors, and ``group --table`` files of order at most 5.  Programs go
+small grammar, REPL sessions, sets of up to twelve Quine atoms, symmetric
+sets of up to 511 nodes that the grammar rarely draws (crowns, rings of
+rings, copies under one root, blocks of atoms), ``wf`` flag vectors, and
+``group --table`` files of order at most 5.  Programs go
 through ``solve`` and ``eq`` in every mode and ``aut`` in a drawn one, and
 REPL sessions also ask ``:aut`` and ``:rigid``.  Twelve interchangeable
 atoms have 12! automorphisms, which the stabilizer chain counts without
 listing them.  A_G's automorphism group is the drawn group itself, of
 order at most 5.
 
-Every program command runs with ``--cap 128``, which bounds only FAFA
-partitions and isomorphism search.  FAFA canonicalization compares sub-APGs
-pair by pair, so its time grows about quadratically up to the default cap
-of 512 nodes: a five-definition program of about 500 nodes drawn here took
-5 s in FAFA mode at the default cap, against 0.05 s in AFA mode.  ``wf``
-draws its element cap up to 4,096: at the default of 2^16, building and
-classifying a full stage takes up to about 2 s, the wall-clock bound.
+Commands on bytes, grammar programs and REPL sessions run with
+``--cap 128``, which bounds only FAFA partitions and isomorphism search.
+FAFA canonicalization compares sub-APGs pair by pair, so its time grows
+about quadratically up to the default cap of 512 nodes: a five-definition
+program of about 500 nodes drawn here took 5 s in FAFA mode at the default
+cap, against 0.05 s in AFA mode.  ``wf`` draws its element cap up to 4,096: at the default of 2^16, building and
+classifying a full stage takes up to about 1.3 s, near the wall-clock
+bound.  Symmetric sets go through ``aut``, ``:aut`` and ``:rigid`` in Boffa
+mode at the default cap: the slowest, about 500 interchangeable atoms,
+takes about 1.2 s.
 """
 
 import contextlib
@@ -209,6 +214,56 @@ def test_aut_on_atom_sets(program):
     if only_atoms:
         report = json.loads(out)
         assert report["order"] == math.factorial(text.count("atom "))
+
+
+def _crown(root: str, ring: str, n: int) -> list[str]:
+    """``root`` over the n-ring ``ring``0 -> ``ring``1 -> ... -> ``ring``0."""
+    members = ", ".join(f"{ring}{i}" for i in range(n))
+    return [f"{root} = {{{members}}};"] + [f"{ring}{i} = {{{ring}{(i + 1) % n}}};" for i in range(n)]
+
+
+@st.composite
+def symmetric_sets(draw):
+    """A Boffa program whose set ``r`` has up to 511 nodes and a large
+    automorphism group, and that group's order: a crown (a root over an
+    n-ring, Z_n), a k-ring of nodes over an m-ring each (Z_m wr Z_k), k
+    copies of an m-crown under one root (Z_m wr S_k), or k blocks of m
+    declared atoms (S_m wr S_k)."""
+    kind = draw(st.sampled_from(["crown", "rings", "copies", "blocks"]))
+    if kind == "crown":
+        n = draw(st.integers(1, 510))
+        return _crown("r", "a", n), n
+    k = draw(st.integers(1, 100))
+    m = draw(st.integers(1, 510 // k - 1))  # 1 + k (m + 1) <= 511 nodes
+    if kind == "rings":
+        lines = _crown("r", "o", k)[:1]
+        for i in range(k):
+            inner = "".join(f", x{i}_{j}" for j in range(m))
+            lines += [f"o{i} = {{o{(i + 1) % k}{inner}}};"] + _crown("", f"x{i}_", m)[1:]
+        return lines, k * m**k
+    if kind == "copies":
+        lines = _crown("r", "c", k)[:1]
+        for i in range(k):
+            lines += _crown(f"c{i}", f"a{i}_", m)
+        return lines, math.factorial(k) * m**k
+    lines = [f"atom t{i}_{j};" for i in range(k) for j in range(m)]
+    lines += [f"b{i} = {{" + ", ".join(f"t{i}_{j}" for j in range(m)) + "};" for i in range(k)]
+    lines.append("r = {" + ", ".join(f"b{i}" for i in range(k)) + "};")
+    return lines, math.factorial(m) ** k * math.factorial(k)
+
+
+@given(symmetric_sets())
+@settings(FUZZ, max_examples=30)
+def test_aut_on_symmetric_sets(shape):
+    # At the default cap: with orbit pruning the search finds at most
+    # log2(order) + 1 leaves, so each command stays within the bound.
+    lines, order = shape
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out = run_cli(["aut", write(tmp, "\n".join(lines).encode()), "r", "--mode", "boffa"])
+    assert (code, out.splitlines()[0]) == (0, f"automorphism order {order}")
+    code, out = run_cli(["repl", "--mode", "boffa"], "\n".join([*lines, ":aut r", ":rigid r"]) + "\n")
+    assert code == 0
+    assert out.splitlines()[-2:] == [f"order {order}", "rigid" if order == 1 else "not rigid"]
 
 
 @st.composite
