@@ -531,15 +531,16 @@ def _search_with_order(ch1, colors1, ch2, colors2, orbit=None):
 
 
 def _union_under_fresh_root(graphs: Sequence[Apg]) -> tuple[list[frozenset[int]], list[int]]:
-    """The child sets of the graphs' disjoint union below a new root 0, and
-    the node ids of their roots in it."""
-    children: list[frozenset[int]] = [frozenset()]
+    """The child sets of the graphs' disjoint union below a new last node,
+    its root, and the node ids of the graphs' roots in it."""
+    children: list[frozenset[int]] = []
     roots = []
     for g in graphs:
         offset = len(children)
         roots.append(g.root + offset)
-        children.extend(frozenset(v + offset for v in kids) for kids in g.children)
-    children[0] = frozenset(roots)
+        children.extend([frozenset(map(offset.__add__, kids)) for kids in g.children]
+                        if offset else g.children)
+    children.append(frozenset(roots))
     return children, roots
 
 
@@ -552,46 +553,44 @@ def pointed_isomorphic(
     does not depend on node numbering.
     """
     if max(g1.node_count, g2.node_count) > cap:
-        raise SizeLimitExceeded(
-            f"isomorphism search capped at {cap} nodes"
-        )
-    n = g1.node_count
-    if n != g2.node_count or g1.edge_count != g2.edge_count:
+        raise SizeLimitExceeded(f"isomorphism search capped at {cap} nodes")
+    if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
         return None
-
-    # Joint refinement over the disjoint union; both roots share a seed colour.
-    children = [*g1.children, *[frozenset([v + n for v in kids]) for kids in g2.children]]
-    init = [0] * (2 * n)
-    init[g1.root] = init[g2.root + n] = 1
-    colors = _stable_colors(children, init)
-
-    c1 = colors[:n]
-    c2 = colors[n:]
-    if sorted(c1) != sorted(c2):
-        return None
-
-    found = next(isomorphisms(g1.children, c1, g2.children, c2), None)
+    found = _pointed_iso(g1.children, g1.root, g2.children, g2.root)
     return None if found is None else dict(enumerate(found))
 
 
-def _iso_classes(graphs: Sequence[Apg], cap: int) -> list[int]:
-    """One class id per graph, equal iff the graphs are pointed-isomorphic;
-    ids count from 0 in order of first appearance.
+def _pointed_iso(ch1, root1: int, ch2, root2: int) -> Optional[tuple[int, ...]]:
+    """``pointed_isomorphic`` on bare child sets of equal node and edge
+    counts, with no cap: the first isomorphism as a tuple of images, or
+    None."""
+    # Joint refinement over the disjoint union; both roots share a seed colour.
+    n = len(ch1)
+    init = [0] * (2 * n)
+    init[root1] = init[root2 + n] = 1
+    colors = _stable_colors([*ch1, *[frozenset(map(n.__add__, kids)) for kids in ch2]], init)
+    c1, c2 = colors[:n], colors[n:]
+    return next(isomorphisms(ch1, c1, ch2, c2), None) if sorted(c1) == sorted(c2) else None
+
+
+def _iso_classes(graphs) -> list[int]:
+    """One class id per (child sets, root) pair, equal iff the graphs are
+    pointed-isomorphic; ids count from 0 in order of first appearance.
 
     Each graph is compared with one representative per class, and only
-    with those of its own node and edge count.
+    with those of its own node and edge count; callers apply the cap.
     """
-    reps: dict[tuple[int, int], list[tuple[Apg, int]]] = {}
+    reps: dict[tuple[int, int], list[tuple[tuple, int, int]]] = {}
     out = []
     count = 0
-    for g in graphs:
-        bucket = reps.setdefault((g.node_count, g.edge_count), [])
-        for rep, i in bucket:
-            if pointed_isomorphic(g, rep, cap=cap) is not None:
+    for ch, root in graphs:
+        bucket = reps.setdefault((len(ch), sum(map(len, ch))), [])
+        for rep, rep_root, i in bucket:
+            if _pointed_iso(ch, root, rep, rep_root) is not None:
                 out.append(i)
                 break
         else:
-            bucket.append((g, count))
+            bucket.append((ch, root, count))
             out.append(count)
             count += 1
     return out

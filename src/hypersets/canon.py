@@ -58,9 +58,10 @@ def _blocks(children, s: Semantics, cap: int) -> list[int]:
     return _refine(children, counting=s is Semantics.SAFA)
 
 
-def _settle(children, root: int, s: Semantics, cap: int):
+def _settle(children, root: int, s: Semantics, cap: int, roots=()):
     """Quotient the graph with these child sets by its mode's partition
-    until nothing more can merge, on bare child sets throughout.
+    until nothing more can merge, or until ``roots`` all share one block,
+    which no later round can split; on bare child sets throughout.
 
     Returns the last graph's child sets and root, the decoration of the
     input's nodes onto it, and its block ids and block count; the blocks
@@ -80,6 +81,7 @@ def _settle(children, root: int, s: Semantics, cap: int):
         if (
             s is Semantics.AFA
             or count == len(children)
+            or len({block_of[decoration[r]] for r in roots}) == 1
             or (
                 s is Semantics.SAFA
                 and all(len({block_of[v] for v in kids}) == len(kids) for kids in children)
@@ -109,15 +111,16 @@ def equality_classes(
     """One class id per graph: equal ids iff the graphs picture the same set.
 
     AFA and SAFA settle the graphs' disjoint union under a fresh root once,
-    as ``canonicalize`` does, and read off the classes of their roots; no
-    isomorphism search runs, so no cap applies.  FAFA groups the graphs'
-    canonical forms by pointed isomorphism, so the cap bounds each graph,
-    not their union.  Ids count from 0 in order of first appearance.
+    stopping once the roots share one block, and read off their classes; no
+    isomorphism search runs, so no cap applies.  FAFA groups the settled
+    graphs (each isomorphic to its canonical form) by pointed isomorphism,
+    so the cap bounds each graph, not their union.  Ids count from 0 in
+    order of first appearance.
     """
     if s is Semantics.FAFA:
-        return _iso_classes([canonicalize(g, s, cap=cap).canonical for g in graphs], cap)
+        return _iso_classes([_settle(g.children, g.root, s, cap)[:2] for g in graphs])
     children, roots = _union_under_fresh_root(graphs)
-    _, _, decoration, block_of, _ = _settle(children, 0, s, cap)
+    _, _, decoration, block_of, _ = _settle(children, len(children) - 1, s, cap, roots)
     ids: dict[int, int] = {}
     return [ids.setdefault(block_of[decoration[r]], len(ids)) for r in roots]
 

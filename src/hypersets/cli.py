@@ -19,7 +19,8 @@ from typing import Callable, Mapping
 
 from .apg import DEFAULT_ISO_CAP, Apg, _bfs, _iso_classes, _trim, _union_under_fresh_root
 from .boffa import Universe
-from .canon import Semantics, _settle, automorphisms, canonicalize, equal, is_rigid, to_dot
+from .canon import (Semantics, _settle, automorphisms, canonicalize, equal, equality_classes,
+                    is_rigid, to_dot)
 from .errors import (
     DuplicateDefinition,
     GroupTooLarge,
@@ -112,7 +113,8 @@ def _solve_names(program: HslProgram, mode: str, cap: int, names=None, pictures=
     first node met in each class; by the decoration equation the others
     reach no new class.  So ``solve`` costs O(graph + pictures printed).
     FAFA canonicalizes each name on its own, as its cap bounds each picture.
-    In Boffa mode a fresh universe's set ids are the classes.
+    In Boffa mode a fresh universe's set ids are the classes.  Without
+    pictures, the pure settle stops once the names share one block.
     """
     if mode == "boffa":
         u = Universe()
@@ -121,14 +123,18 @@ def _solve_names(program: HslProgram, mode: str, cap: int, names=None, pictures=
         for name in names:
             if name not in ids:
                 raise UndefinedName(f"name {name!r} is not defined")
+        classes = {name: ids[name] for name in names}
+        if not pictures:
+            return _Solution(classes)
         ordered = {i: sorted(m) for i, m in u.sets.items()}
-        return _Solution({name: ids[name] for name in names}, u.sets,
-                         lambda name: _bfs(ids[name], ordered), u.labels)
+        return _Solution(classes, u.sets, lambda name: _bfs(ids[name], ordered), u.labels)
     s = Semantics(mode)
     if s is Semantics.FAFA:
         graphs = flatten(program, names)
+        if not pictures:
+            return _Solution(dict(zip(graphs, equality_classes(list(graphs.values()), s, cap))))
         pics = [canonicalize(g, s, cap=cap).canonical for g in graphs.values()]
-        classes = dict(zip(graphs, _iso_classes(pics, cap)))
+        classes = dict(zip(graphs, _iso_classes([(g.children, 0) for g in pics])))
         members, roots = _union_under_fresh_root(pics)
         # Canonical forms are numbered breadth-first already.
         spans = {name: range(r, r + g.node_count) for name, r, g in zip(graphs, roots, pics)}
@@ -137,7 +143,8 @@ def _solve_names(program: HslProgram, mode: str, cap: int, names=None, pictures=
     root = ("names",)  # fresh: every key of the program's graph has two or three parts
     children[root] = list(keys.values())
     kids, trans = _trim(children, root)
-    settled, _, decoration, block_of, _ = _settle(kids, 0, s, cap)
+    roots = () if pictures else [trans[key] for key in keys.values()]
+    settled, _, decoration, block_of, _ = _settle(kids, 0, s, cap, roots)
     class_of = [block_of[d] for d in decoration]
     classes = {name: class_of[trans[key]] for name, key in keys.items()}
     if not pictures:

@@ -577,7 +577,7 @@ def reference_solve_names(program, mode: str, cap: int = 512, names=None):
     """Canonical picture and equality class id of each name, as two dicts
     in name order."""
     from hypersets.boffa import Universe
-    from hypersets.apg import _iso_classes
+    from hypersets.apg import pointed_isomorphic
     from hypersets.canon import Semantics, canonicalize, equality_classes
     from hypersets.errors import UndefinedName
     from hypersets.hsl import flatten, flatten_into
@@ -595,7 +595,17 @@ def reference_solve_names(program, mode: str, cap: int = 512, names=None):
     s = Semantics(mode)
     pics = {name: canonicalize(g, s, cap=cap).canonical for name, g in graphs.items()}
     if s is Semantics.FAFA:  # the pictures are canonical: group them as they are
-        return pics, dict(zip(pics, _iso_classes(list(pics.values()), cap)))
+        reps: list[Apg] = []
+        classes = {}
+        for name, pic in pics.items():
+            for i, rep in enumerate(reps):
+                if pointed_isomorphic(pic, rep, cap=cap) is not None:
+                    classes[name] = i
+                    break
+            else:
+                classes[name] = len(reps)
+                reps.append(pic)
+        return pics, classes
     return pics, dict(zip(pics, equality_classes(list(pics.values()), s, cap=cap)))
 
 

@@ -294,6 +294,88 @@ class TestSettleAgainstReference:
                 assert equality_classes(graphs, s) == want, (s, graphs)
 
 
+class TestEqualityBuildsOnlyItsVerdict:
+    """``equal`` settles bare child sets and compares them; it builds no
+    canonical form, and SAFA stops as soon as the roots share a block."""
+
+    def test_verdicts_match_reference(self):
+        rng = random.Random(75)
+        pairs = []
+        for i in range(3000):
+            g = relabelled(rng, random_apg(rng, 6))
+            h = relabelled(rng, g) if i % 3 == 0 else relabelled(rng, random_apg(rng, 6))
+            pairs.append([g, h])
+        groups = [[relabelled(rng, random_apg(rng, 5)) for _ in range(rng.randint(3, 7))]
+                  for _ in range(200)]
+        for graphs in groups:  # relabelled copies among the k graphs too
+            graphs.append(relabelled(rng, rng.choice(graphs)))
+        copies = {s: 0 for s in ALL_MODES}
+        for graphs in pairs + groups:
+            for s in ALL_MODES:
+                want = reference_equality_classes(graphs, s)
+                if len(graphs) == 2:
+                    assert equal(*graphs, s) == (want[0] == want[1]), (s, graphs)
+                    copies[s] += want[0] == want[1]
+                else:
+                    assert equality_classes(graphs, s) == want, (s, graphs)
+        assert min(copies.values()) >= 1000
+
+    @pytest.mark.parametrize("s", ALL_MODES)
+    def test_equal_builds_no_apg(self, monkeypatch, s):
+        rng = random.Random(76)
+        pairs = [(LOOPS_2_AND_4, OMEGA), (DOUBLETON_OF_LOOPS, relabelled(rng, DOUBLETON_OF_LOOPS))]
+        pairs += [(g, relabelled(rng, g)) for g in (random_apg(rng, 12) for _ in range(50))]
+        pairs += [(random_apg(rng, 12), random_apg(rng, 12)) for _ in range(50)]
+        built = []
+        post_init = Apg.__post_init__
+        monkeypatch.setattr(Apg, "__post_init__", lambda g: built.append(post_init(g)))
+        Apg((fs(),), 0)
+        assert len(built) == 1  # the count sees every Apg made
+        for g, h in pairs:
+            equal(g, h, s)
+        assert len(built) == 1
+
+    def test_fafa_equal_canonicalizes_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(canon, "canonicalize", lambda *a, **k: calls.append(a))
+        rng = random.Random(77)
+        for _ in range(100):
+            g = random_apg(rng, 8)
+            assert equal(g, relabelled(rng, g), Semantics.FAFA)
+            equal(g, random_apg(rng, 8), Semantics.FAFA)
+        assert calls == []
+
+    def test_safa_equal_on_a_copy_refines_once(self, monkeypatch):
+        rng = random.Random(78)
+        graphs = [LOOPS_2_AND_4, DOUBLETON_OF_LOOPS] + [random_apg(rng, 12) for _ in range(100)]
+        refine = canon._refine
+        calls = []
+        monkeypatch.setattr(canon, "_refine", lambda *a, **k: calls.append(a) or refine(*a, **k))
+        for g in graphs:
+            copy = relabelled(rng, g)
+            calls.clear()
+            assert equal(g, copy, Semantics.SAFA)
+            assert len(calls) == 1
+            # Without the roots, the fresh root's two children in one block
+            # take the settle into a second round.
+            children, _ = canon._union_under_fresh_root([g, copy])
+            calls.clear()
+            canon._settle(children, len(children) - 1, Semantics.SAFA, DEFAULT_ISO_CAP)
+            assert len(calls) >= 2
+
+    def test_fafa_cap_bounds_each_graph(self):
+        rng = random.Random(79)
+        g = random_performance_graph(rng, 40, 120)
+        n = g.node_count
+        assert canonicalize(g, Semantics.FAFA).canonical.node_count == n
+        assert equal(g, relabelled(rng, g), Semantics.FAFA, cap=n)
+        with pytest.raises(SizeLimitExceeded):
+            equal(g, relabelled(rng, g), Semantics.FAFA, cap=n - 1)
+        big = random_performance_graph(rng, 3000, 9000)
+        for s in (Semantics.AFA, Semantics.SAFA):
+            assert equal(big, relabelled(rng, big), s, cap=1)
+
+
 class TestSafaEarlyStop:
     def test_fafa_merges_the_loops_only_in_round_two(self):
         fin = finsler_partition(LOOPS_2_AND_4)

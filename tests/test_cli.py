@@ -534,6 +534,32 @@ class TestCachedParser:
         assert cached[0] == cached[1]
 
 
+# What search-separation prints at --seed 0 and its default budget and size.
+SEPARATION_AFA_NOT_MULTISET = """\
+# witness at trial 2: afa says True, safa says False
+# graph A
+x0 = {x0};
+# graph B
+y0 = {y1, y2, y3};
+y1 = {y0, y1};
+y2 = {y1};
+y3 = {y0, y1, y3};
+"""
+SEPARATION_SAFA_FAFA = """\
+# witness at trial 44: safa says True, fafa says False
+# graph A
+x0 = {x1};
+x1 = {x2, x3};
+x2 = {x2};
+x3 = {x2};
+# graph B
+y0 = {y1, y2};
+y1 = {y3};
+y2 = {y2};
+y3 = {y1};
+"""
+
+
 class TestSearchSeparation:
     def test_finds_afa_safa_witness(self, capsys):
         code, out = run(
@@ -566,6 +592,23 @@ class TestSearchSeparation:
             "--max-nodes", "4", "--seed", "0", "--budget", "50",
         )
         assert code in (EXIT_OK, EXIT_NO_WITNESS)
+
+    def test_no_witness_exit_is_reached(self, capsys):
+        # One node gives Omega or the empty set, which no two modes tell apart.
+        code, out = run(
+            capsys,
+            "search-separation", "afa", "safa",
+            "--max-nodes", "1", "--seed", "0", "--budget", "50",
+        )
+        assert (code, out) == (EXIT_NO_WITNESS, "no witness within budget 50\n")
+
+    @pytest.mark.parametrize("modes, want", [
+        (("afa", "safa"), SEPARATION_AFA_NOT_MULTISET),
+        (("safa", "fafa"), SEPARATION_SAFA_FAFA),
+        (("afa", "fafa"), SEPARATION_AFA_NOT_MULTISET.replace("safa says False", "fafa says False")),
+    ])
+    def test_witnesses_at_seed_zero(self, capsys, modes, want):
+        assert run(capsys, "search-separation", *modes, "--seed", "0") == (EXIT_OK, want)
 
     def test_deterministic_for_seed(self, capsys):
         args = ["search-separation", "afa", "fafa", "--max-nodes", "5",

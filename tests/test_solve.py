@@ -219,6 +219,42 @@ def test_pure_solve_settles_once(monkeypatch, ring_path, mode):
     assert sink.tail.endswith(f"equal r{RING - 2} r{RING - 1}\n")
 
 
+# u, v is a renamed copy of x, y; w differs from both.
+COPIES = "x = {y, {}}; y = {x}; u = {v, {}}; v = {u}; w = {u, {{}}};"
+
+
+def test_safa_eq_on_a_renamed_copy_refines_once(monkeypatch, capsys, tmp_path):
+    """Once x and u share a block, the settle stops; without the names it
+    would take a second round, as the fresh root has both in one block."""
+    path = tmp_path / "copies.hs-set"
+    path.write_text(COPIES)
+    counts: dict[str, int] = {}
+    count_calls(monkeypatch, [(apg, "_refine")], counts)
+    assert main(["eq", str(path), "x", "u", "--mode", "safa"]) == 0
+    assert counts["_refine"] == 1
+    monkeypatch.setattr("sys.stdin", io.StringIO(COPIES + "\n:eq x u\n"))
+    assert main(["repl", "--mode", "safa"]) == 0
+    assert counts["_refine"] == 2
+    assert capsys.readouterr().out == "equal\nequal\n"
+    counts["_refine"] = 0
+    _solve_names(parse(COPIES), "safa", 512, ("x", "u"))  # with pictures
+    assert counts["_refine"] >= 2
+    assert main(["eq", str(path), "x", "w", "--mode", "safa"]) == 10
+
+
+@pytest.mark.parametrize("mode", ["afa", "safa", "fafa", "boffa"])
+def test_eq_reads_no_pictures(monkeypatch, mode):
+    program = parse(COPIES)
+    want = _solve_names(program, mode, 512).classes
+    counts: dict[str, int] = {}
+    count_calls(monkeypatch, [(canon, "canonicalize"), (apg, "_union_under_fresh_root")], counts)
+    for a, b in (("x", "u"), ("x", "w"), ("y", "y")):
+        sol = _solve_names(program, mode, 512, (a, b), pictures=False)
+        assert (sol.classes[a] == sol.classes[b]) == (want[a] == want[b])
+        assert sol.members is None and sol.order is None
+    assert counts == {"canonicalize": 0, "_union_under_fresh_root": 0}
+
+
 def test_boffa_solve_reads_no_picture_of(monkeypatch, tmp_path):
     """Every Boffa picture of a ring is the whole ring, so a small one."""
     path = tmp_path / "ring.hs-set"
