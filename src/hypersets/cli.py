@@ -17,10 +17,9 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .apg import DEFAULT_ISO_CAP, Apg, _bfs, _iso_classes, _trim, _union_under_fresh_root
+from .apg import DEFAULT_ISO_CAP, Apg, _bfs, _trim
 from .boffa import Universe
-from .canon import (Semantics, _settle, automorphisms, canonicalize, equal, equality_classes,
-                    is_rigid, to_dot)
+from .canon import Semantics, _settle, automorphisms, equal, is_rigid, to_dot
 from .errors import (
     DuplicateDefinition,
     GroupTooLarge,
@@ -37,7 +36,7 @@ from .grouplab import (
     groups_isomorphic,
     preset_group,
 )
-from .hsl import HslProgram, _printer, _pure_graph, flatten, flatten_into, parse, unparse
+from .hsl import HslProgram, _printer, _pure_graph, _reach, flatten_into, parse, unparse
 from .random_graphs import random_apg
 from .wflab import all_automorphisms, build_universe, classify_map, extend_map
 
@@ -106,15 +105,18 @@ class _Solution:
 def _solve_names(program: HslProgram, mode: str, cap: int, names=None, pictures=True):
     """A ``_Solution`` for ``names`` (every name by default), in name order.
 
-    AFA and SAFA settle the graph of the names once, under a fresh root (one
-    decoration solves the whole system: Aczel's solution lemma).  A name's
-    picture is numbered as ``canonicalize`` numbers it, by a breadth-first
-    walk of the program's graph from the name, in term order, expanding the
-    first node met in each class; by the decoration equation the others
-    reach no new class.  So ``solve`` costs O(graph + pictures printed).
-    FAFA canonicalizes each name on its own, as its cap bounds each picture.
-    In Boffa mode a fresh universe's set ids are the classes.  Without
-    pictures, the pure settle stops once the names share one block.
+    The pure modes settle the graph of the names once, under a fresh root
+    (one decoration solves the whole system: Aczel's solution lemma).  In
+    FAFA too, as a node's Finsler class depends only on its own sub-APG, so
+    the joint classes and pictures are the per-name ones; the cap bounds
+    each name's graph, checked first, and the union is settled uncapped.  A
+    name's picture is numbered as ``canonicalize`` numbers it, by a
+    breadth-first walk of the program's graph from the name, in term
+    order, expanding the first node met in each class; by the decoration
+    equation the others reach no new class.  So ``solve`` costs O(graph +
+    pictures printed) beyond the settle.  In Boffa mode a fresh universe's
+    set ids are the classes.  Without pictures, the pure settle stops once
+    the names share one block.
     """
     if mode == "boffa":
         u = Universe()
@@ -129,22 +131,15 @@ def _solve_names(program: HslProgram, mode: str, cap: int, names=None, pictures=
         ordered = {i: sorted(m) for i, m in u.sets.items()}
         return _Solution(classes, u.sets, lambda name: _bfs(ids[name], ordered), u.labels)
     s = Semantics(mode)
-    if s is Semantics.FAFA:
-        graphs = flatten(program, names)
-        if not pictures:
-            return _Solution(dict(zip(graphs, equality_classes(list(graphs.values()), s, cap))))
-        pics = [canonicalize(g, s, cap=cap).canonical for g in graphs.values()]
-        classes = dict(zip(graphs, _iso_classes([(g.children, 0) for g in pics])))
-        members, roots = _union_under_fresh_root(pics)
-        # Canonical forms are numbered breadth-first already.
-        spans = {name: range(r, r + g.node_count) for name, r, g in zip(graphs, roots, pics)}
-        return _Solution(classes, dict(enumerate(members)), spans.__getitem__)
     children, keys = _pure_graph(program, names)
     root = ("names",)  # fresh: every key of the program's graph has two or three parts
     children[root] = list(keys.values())
     kids, trans = _trim(children, root)
+    if s is Semantics.FAFA and any(_reach(kids, trans[key], cap) is None for key in keys.values()):
+        raise SizeLimitExceeded(f"finsler partition capped at {cap} nodes")
     roots = () if pictures else [trans[key] for key in keys.values()]
-    settled, _, decoration, block_of, _ = _settle(kids, 0, s, cap, roots)
+    # Uncapped: the cap bounds each name's graph, not their union.
+    settled, _, decoration, block_of, _ = _settle(kids, 0, s, len(kids), roots)
     class_of = [block_of[d] for d in decoration]
     classes = {name: class_of[trans[key]] for name, key in keys.items()}
     if not pictures:

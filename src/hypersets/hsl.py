@@ -15,7 +15,9 @@ semantics, where they mint labeled Quine atoms.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Iterable, Mapping, Optional
 
 from .apg import Apg, _bfs, _postorder, trim_to_accessible
@@ -366,10 +368,12 @@ def flatten_into(
     ``given`` binds further names to sets already in the universe.  Those
     sets with their transitive closure, and the declared atoms, are the old
     keys ``("old", id or name)``; atoms mint fresh labeled Quine atoms once
-    every check has passed.  Literal duplicates in the desugared graph are
-    merged first (the same members force the same set), then the graph is
-    realized over the old keys.  Old keys win every merge and their child
-    sets differ, so each is its own representative.
+    every check has passed.  Duplicates in the desugared graph are merged
+    first (the same members force the same set), by congruence closure in
+    O(m log n) re-signings (``_merge_duplicates``), so deep copies of one
+    set cost about linear time; then the graph is realized over the old
+    keys.  Old keys win every merge and their child sets differ, so each
+    is its own representative.
     """
     given = given or {}
     defined, atoms = program.defined_names, program.atom_names
@@ -391,38 +395,88 @@ def flatten_into(
 
 
 def _merge_duplicates(children: dict) -> dict:
-    """Merge nodes with literally identical child sets until none remain,
-    mutating ``children``; returns the key -> representative map.
+    """Merge nodes whose child sets are equal once merged nodes are
+    identified, until none remain, mutating ``children`` (each surviving
+    key keeps its place, its kids replaced by their representatives);
+    returns the key -> representative map.
 
     Extensionality forces these identifications; distinct self-membered
-    nodes survive because their child sets differ as key sets.  Old keys
-    (declared atoms and given sets) win representative elections so they
-    keep their identity.
+    nodes survive because their child sets differ as key sets.  Each class
+    elects its first old key (a declared atom or given set), else its
+    earliest-inserted key, so old keys keep their identity.
+
+    This is the least fixpoint, found by congruence closure (Downey, Sethi
+    & Tarjan, JACM 1980).  A key's signature is the set of its kids' class
+    ids; a table maps each signature to the first key signed with it, and
+    a key whose signature is taken joins that key's class.  A merge moves
+    the smaller class into the larger, and the users of the moved keys are
+    re-signed after each round of merges: found by one scan in the first
+    round, from a users index after it.  A key moves O(log n) times, so
+    there are O(m log n) re-signings; each maps only the merged-away ids of
+    a signature and copies the rest.  A signature that names a merged-away
+    id is stale, but no key is signed with it again.
     """
-    rep = {k: k for k in children}
-    while True:
-        groups: dict[frozenset, list] = {}
-        for k, kids in children.items():
-            groups.setdefault(frozenset(kids), []).append(k)
-        merges = {}
-        for members in groups.values():
-            if len(members) < 2:
+    cls = {k: k for k in children}  # each key's class id: a key of the class
+    sig = {}  # each key's signature when last signed
+    table: dict = {}  # signature -> the first key signed with it
+    moved = []  # the keys whose class changed since their users were signed
+    for k, kids in children.items():
+        s = sig[k] = frozenset(kids)
+        w = table.setdefault(s, k)
+        if w is not k:
+            cls[k] = w
+            moved.append(k)
+    if not moved:
+        return cls
+    members: dict = {}  # class id -> its keys, for classes of two or more
+    for k in moved:
+        members.setdefault(cls[k], [cls[k]]).append(k)
+    retired = set(moved)  # the class ids merged away since the last signing
+    users = None  # key -> the keys that hold it
+    while moved:
+        if users is None:
+            signing = [u for u, s in sig.items() if not retired.isdisjoint(s)]
+        else:
+            signing = dict.fromkeys([u for x in moved for u in users[x]])
+        pending = []
+        for u in signing:
+            gone = sig[u] & retired
+            s = sig[u] = (sig[u] - gone) | {cls[c] for c in gone}
+            w = table.setdefault(s, u)
+            if cls[w] is not cls[u]:
+                pending.append((w, u))
+        if pending and users is None:
+            users = {k: [] for k in children}
+            for k, kids in children.items():
+                for c in kids:
+                    users[c].append(k)
+        moved, retired = [], set()
+        for w, u in pending:
+            a, b = cls[w], cls[u]
+            if a is b:
                 continue
-            winner = next((k for k in members if k[0] == "old"), members[0])
-            for k in members:
-                if k is not winner:
-                    merges[k] = winner
-        if not merges:
-            return rep
-        children_new: dict = {}
-        for k, kids in children.items():
-            if k in merges:
-                continue
-            children_new[k] = [merges.get(c, c) for c in kids]
-        children.clear()
-        children.update(children_new)
-        for k, r in rep.items():
-            rep[k] = merges.get(r, r)
+            big, small = members.get(a, [a]), members.pop(b, [b])
+            if len(big) < len(small):
+                a, b, big, small = b, a, small, big
+                members.pop(b, None)
+            big += small
+            members[a] = big
+            retired.add(b)
+            for x in small:
+                cls[x] = a
+            moved += small
+    rank = dict(zip(children, count()))
+    rep = cls
+    for ks in members.values():
+        elect = min([k for k in ks if k[0] == "old"] or ks, key=rank.__getitem__)
+        for k in ks:
+            rep[k] = elect
+    merged = {k for k, r in rep.items() if r is not k}
+    survivors = {k: kids if merged.isdisjoint(kids) else [rep[c] for c in kids]
+                 for k, kids in children.items() if k not in merged}
+    children.clear()
+    children.update(survivors)
+    return rep
 
 
 # --- unparsing ---------------------------------------------------------------
@@ -440,53 +494,70 @@ def unparse(g: Apg) -> str:
 
 def _printer(members: dict):
     """``unparse`` for many pictures in one graph, given as node -> member
-    set: its numeral values and Kuratowski layouts are read once, and the
-    function returned prints the picture whose nodes, root first, are
-    ``order``.  Parents come from the picture's own edges, never the whole
-    graph's (0 is a member of most sets), so a picture costs O(picture).
+    set: the function returned prints the picture whose nodes, root first,
+    are ``order``.  What does not depend on the picture is found once:
+    numeral values and Kuratowski layouts up front, the label strings
+    ``x0``, ``x1``, ... and each numeral's reach, interior and in-degrees
+    from inside its reach the first time they are needed.  A picture counts
+    its nodes' parents among its own nodes, never the whole graph's (0 is a
+    member of most sets), and only once a numeral or pair candidate needs
+    them, so a picture costs O(picture).
     """
     num_val = _numeral_values(members)
     pair = {u: _pair_parts(u, members.__getitem__) for u in members}
+    numeral: dict = {}  # u -> _numeral_interior(members, u, num_val[u])
+    label: list[str] = []  # label[i] == f"x{i}"
 
     def picture(order) -> str:
+        label.extend([f"x{i}" for i in range(len(label), len(order))])
         root = order[0]
         pos = {u: i for i, u in enumerate(order)}
-        parents: dict = {u: set() for u in order}
-        for u in order:
-            for v in members[u]:
-                parents[v].add(u)
+        indeg = None  # each node's parents among the picture's nodes, counted
         skip, sugar = set(), {}
         for u in order:
             k = num_val[u]
             if k is None or u in skip:  # inside a numeral already sugared
                 continue
-            # u and its k children already make k + 1 nodes
-            reach = _reach(members, u, k + 1)
-            if reach is None:
+            if u not in numeral:
+                numeral[u] = _numeral_interior(members, u, k)
+            inner = numeral[u]
+            if inner is None or root in inner:
                 continue
-            interior = reach - {u}
-            if root in interior or any(not parents[d] <= reach for d in interior):
-                continue
+            if inner:
+                indeg = indeg or Counter(chain.from_iterable(map(members.__getitem__, order)))
+                if any(indeg[d] != c for d, c in inner.items()):
+                    continue
+                skip.update(inner)
             sugar[u] = str(k)
-            skip |= interior
         for u in order:
-            if u in sugar or u in skip or pair[u] is None:
+            if pair[u] is None or u in sugar or u in skip:
                 continue
             a, b, w1, w2 = pair[u]
-            if {w1, w2} & {a, b, root} or skip & {a, b, w1, w2} \
-                    or not parents[w1] == {u} == parents[w2]:
+            if {w1, w2} & {a, b, root} or skip & {a, b, w1, w2}:
                 continue
-            sugar[u] = f"<x{pos[a]}, x{pos[b]}>"
-            skip |= {w1, w2}
-        lines = []
-        for u in order:
-            if u not in skip:
-                body = sugar.get(u) or "{%s}" % ", ".join(
-                    f"x{i}" for i in sorted([pos[v] for v in members[u]]))
-                lines.append(f"x{pos[u]} = {body};")
-        return "\n".join(lines) + "\n"
+            indeg = indeg or Counter(chain.from_iterable(map(members.__getitem__, order)))
+            if indeg[w1] == 1 == indeg[w2]:
+                sugar[u] = f"<{label[pos[a]]}, {label[pos[b]]}>"
+                skip |= {w1, w2}
+        return "".join([
+            f"{label[pos[u]]} = {sugar[u]};\n" if u in sugar else
+            f"{label[pos[u]]} = {{"
+            f"{', '.join([label[i] for i in sorted([pos[v] for v in members[u]])])}}};\n"
+            for u in order if u not in skip])
 
     return picture
+
+
+def _numeral_interior(members, u, k: int) -> Optional[Counter]:
+    """For u with numeral value k: each node below u, with its number of
+    parents among u and those nodes; or None when more than k + 1 nodes
+    are reachable from u (u and its k children already make k + 1)."""
+    reach = _reach(members, u, k + 1)
+    if reach is None:
+        return None
+    inner = Counter([v for w in reach for v in members[w]])
+    del inner[u]
+    return inner
 
 
 def _reach(members, u, limit: int) -> Optional[set]:

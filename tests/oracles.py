@@ -732,3 +732,36 @@ def _reference_decode_pair(g: Apg, u: int, parents, skip: set[int]):
     if {w1, w2} & {a, b, g.root} or w1 in skip or w2 in skip:
         return None
     return parts if parents[w1] == {u} == parents[w2] else None
+
+
+# --- Boffa insertion: the fixpoint loop the congruence closure replaced ------
+
+def reference_merge_duplicates(children: dict) -> dict:
+    """Merge nodes with literally identical child sets until none remain,
+    mutating ``children``; returns the key -> representative map.  One
+    round per nesting level, each rehashing every child set; in a group
+    the first old key wins, else the first key in insertion order."""
+    rep = {k: k for k in children}
+    while True:
+        groups: dict[frozenset, list] = {}
+        for k, kids in children.items():
+            groups.setdefault(frozenset(kids), []).append(k)
+        merges = {}
+        for members in groups.values():
+            if len(members) < 2:
+                continue
+            winner = next((k for k in members if k[0] == "old"), members[0])
+            for k in members:
+                if k is not winner:
+                    merges[k] = winner
+        if not merges:
+            return rep
+        children_new: dict = {}
+        for k, kids in children.items():
+            if k in merges:
+                continue
+            children_new[k] = [merges.get(c, c) for c in kids]
+        children.clear()
+        children.update(children_new)
+        for k, r in rep.items():
+            rep[k] = merges.get(r, r)

@@ -13,6 +13,11 @@ atoms have 12! automorphisms, which the stabilizer chain counts without
 listing them.  A_G's automorphism group is the drawn group itself, of
 order at most 5.
 
+Grammar terms sit inside up to 2,000 singleton braces, so that the
+wall-clock bound also holds Boffa insertion of two nests that deep to
+about linear time: merging one nesting level per pass over the graph
+takes seconds there.
+
 Commands on bytes, grammar programs and REPL sessions run with
 ``--cap 128``, which bounds only FAFA partitions and isomorphism search.
 FAFA canonicalization compares sub-APGs pair by pair, so its time grows
@@ -83,9 +88,9 @@ def _nest(depth_and_term) -> str:
 
 def terms(leaves):
     """Sets and tuples over the given leaves and numerals up to 50, inside
-    up to 200 singleton braces."""
+    up to 2,000 singleton braces."""
     return st.tuples(
-        st.integers(0, 200),
+        st.integers(0, 2000),
         st.recursive(
             st.one_of(leaves, st.integers(0, 50).map(str)),
             lambda inner: st.one_of(

@@ -10,19 +10,23 @@ measures the peak of ``solve`` on a ring whose verdicts alone fill 8 MB.
 
 import contextlib
 import io
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
-from hypersets import apg, boffa, canon, cli, hsl
+from hypersets import apg, boffa, canon, cli, equivalence, hsl
 from hypersets.apg import Apg, Partition
 from hypersets.canon import automorphisms, to_dot
 from hypersets.cli import _solve_names, main
 from hypersets.hsl import flatten, parse, unparse
 from hypersets.random_graphs import random_apg
 
-from oracles import reference_solve_names, reference_solve_output, reference_unparse
+from oracles import (reference_merge_duplicates, reference_solve_names, reference_solve_output,
+                     reference_unparse)
 
 def random_program(rng: random.Random, atoms: bool, max_names: int, max_depth: int) -> str:
     """Definitions of n0.. over sets, tuples, numerals, aliases and atoms.
@@ -127,6 +131,82 @@ def test_matches_per_name_path(tmp_path, monkeypatch, mode, seed, programs, max_
         assert multi_round >= 100, multi_round
 
 
+# --- Boffa insertion: the congruence closure against the fixpoint loop ------
+
+def compare_merges(monkeypatch) -> dict:
+    """Make every ``flatten_into`` run the fixpoint loop on a copy of the
+    graph it hands ``_merge_duplicates``, and compare: the representative
+    map, the surviving keys in order and their kid lists.  Counts the
+    graphs, and those where merges cascaded past literal duplicates."""
+    stats = {"graphs": 0, "cascades": 0}
+    merge = hsl._merge_duplicates
+
+    def both(children):
+        want = {k: list(kids) for k, kids in children.items()}
+        literal = len(set(map(frozenset, want.values())))
+        want_rep = reference_merge_duplicates(want)
+        rep = merge(children)
+        assert rep == want_rep
+        assert list(children) == list(want)
+        assert children == want
+        stats["graphs"] += 1
+        stats["cascades"] += len(want) < literal
+        return rep
+
+    monkeypatch.setattr(hsl, "_merge_duplicates", both)
+    return stats
+
+
+def test_merge_matches_fixpoint_loop(monkeypatch):
+    stats = compare_merges(monkeypatch)
+    rng = random.Random(6)
+    for _ in range(3000):
+        hsl.flatten_into(parse(random_program(rng, True, 6, 3)), boffa.Universe())
+    assert stats["graphs"] == 3000
+    assert stats["cascades"] >= 2000, stats
+
+
+def test_merge_matches_fixpoint_loop_with_given_ids(monkeypatch):
+    """A second program whose free names are bound to sets of the first:
+    the old keys of their transitive closure enter the merge first."""
+    stats = compare_merges(monkeypatch)
+    rng = random.Random(7)
+    bound = 0
+    for _ in range(1000):
+        u = boffa.Universe()
+        ids = list(hsl.flatten_into(parse(random_program(rng, True, 6, 3)), u).values())
+        lines = random_program(rng, True, 6, 3).splitlines()
+        free = [line.split()[0] for line in lines if line[0] == "n" and rng.random() < 0.4]
+        text = "\n".join(line for line in lines if line.split()[0] not in free)
+        given = {name: rng.choice(ids) for name in free}
+        hsl.flatten_into(parse(text), u, given)
+        bound += bool(given)
+    assert stats["graphs"] == 2000 and bound >= 700
+    assert stats["cascades"] >= 1200, stats
+
+
+def test_boffa_solve_bytes_independent_of_hash_seed(tmp_path):
+    """Signatures are sets of string-keyed tuples, whose iteration order
+    follows PYTHONHASHSEED; the classes, their elected keys and so the set
+    ids must not."""
+    rng = random.Random(8)
+    paths = []
+    for i in range(60):
+        paths.append(str(tmp_path / f"p{i}.hs-set"))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            fh.write(random_program(rng, True, 8, 3))
+    script = ("import sys\nfrom hypersets.cli import main\n"
+              "for path in sys.argv[1:]:\n    main(['solve', path, '--mode', 'boffa'])\n")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", script, *paths], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("set n0\n") == 60
+
+
 def relabelled(rng: random.Random, g: Apg) -> Apg:
     """g with its node ids shuffled, so that they are not breadth-first."""
     perm = list(range(g.node_count))
@@ -204,19 +284,67 @@ def count_calls(monkeypatch, owner_names, counts):
             monkeypatch.setattr(owner, name, counted)
 
 
-@pytest.mark.parametrize("mode", ["afa", "safa"])
-def test_pure_solve_settles_once(monkeypatch, ring_path, mode):
+@pytest.mark.parametrize("mode", ["afa", "safa", "fafa"])
+def test_pure_solve_settles_once(monkeypatch, tmp_path, mode):
+    """FAFA's Finsler partition compares the ring's nodes' sub-APGs with one
+    another, which is quadratic in the ring, so it gets a smaller ring (a
+    1,000-ring takes seconds); it settles once all the same, and runs the
+    isomorphism grouping only inside the Finsler partition."""
+    n = 250 if mode == "fafa" else RING
+    path = tmp_path / "ring.hs-set"
+    path.write_text(ring_program(n))
     counts: dict[str, int] = {}
     count_calls(monkeypatch, [(canon, "_settle"), (apg, "trim_to_accessible"),
-                              (canon, "canonicalize")], counts)
+                              (canon, "canonicalize"), (apg, "_iso_classes")], counts)
+    counts["finsler"] = 0
+
+    def counted_iso_classes(*args, _f=equivalence._iso_classes):
+        counts["finsler"] += 1
+        return _f(*args)
+
+    monkeypatch.setattr(equivalence, "_iso_classes", counted_iso_classes)
     sink = ByteCount()
     monkeypatch.setattr("sys.stdout", sink)
-    assert main(["solve", ring_path, "--mode", mode]) == 0
+    assert main(["solve", str(path), "--mode", mode]) == 0
     assert counts["_settle"] == 1
     assert counts["trim_to_accessible"] <= 1
     assert counts["canonicalize"] == 0
-    assert sink.lines == ring_lines(RING)
-    assert sink.tail.endswith(f"equal r{RING - 2} r{RING - 1}\n")
+    assert counts["_iso_classes"] == 0  # not from canon or cli
+    # FAFA: one counting class of two or more nodes in each of two rounds
+    assert counts["finsler"] == (mode == "fafa") * 2
+    assert sink.lines == ring_lines(n)
+    assert sink.tail.endswith(f"equal r{n - 2} r{n - 1}\n")
+
+
+# Two names of 6 and 8 nodes that share no node: 14 nodes in all.
+APART = "a = {{{{{{}}}}}}; b = {{{{{{{x}}}}}}}; x = {x};"
+
+
+def test_fafa_cap_bounds_each_name(tmp_path, monkeypatch, capsys):
+    """Each name's graph is within the cap but their union is not: the cap
+    bounds each name, so ``solve``, ``eq`` and ``:eq`` go through; a name
+    over the cap exits 3 with the Finsler partition's message."""
+    path = tmp_path / "apart.hs-set"
+    path.write_text(APART)
+    graphs = flatten(parse(APART))
+    assert [graphs[name].node_count for name in "abx"] == [6, 8, 1]
+    cap = ["--mode", "fafa", "--cap", "8"]
+    assert main(["solve", str(path), *cap]) == 0
+    assert capsys.readouterr().out.endswith("distinct a b\ndistinct a x\ndistinct b x\n")
+    assert main(["eq", str(path), "a", "b", *cap]) == 10
+    assert capsys.readouterr().out == "unequal\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(APART + "\n:eq a b\n:eq b b\n"))
+    assert main(["repl", *cap]) == 0
+    assert capsys.readouterr().out == "unequal\nequal\n"
+    cap[-1] = "7"
+    for argv in (["solve", str(path)], ["eq", str(path), "a", "b"], ["eq", str(path), "b", "x"]):
+        assert main([*argv, *cap]) == 3
+        assert capsys.readouterr().err == "size cap: finsler partition capped at 7 nodes\n"
+    assert main(["eq", str(path), "a", "x", *cap]) == 10
+    assert capsys.readouterr().out == "unequal\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(APART + "\n:eq a x\n:eq a b\n"))
+    assert main(["repl", *cap]) == 0
+    assert capsys.readouterr().out == "unequal\nerror: finsler partition capped at 7 nodes\n"
 
 
 # u, v is a renamed copy of x, y; w differs from both.
