@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -33,7 +34,6 @@ from .grouplab import (
     PRESET_NAMES,
     aut_group_of,
     build_A_G,
-    groups_isomorphic,
     preset_group,
 )
 from .hsl import HslProgram, _printer, _pure_graph, _reach, flatten_into, parse, unparse
@@ -222,14 +222,15 @@ def cmd_aut(args) -> int:
 
 
 def _parse_cycles(text: str, n: int) -> dict[int, int]:
-    """Disjoint cycles over atom indices: (0 1 2)(3 4)."""
+    """Disjoint cycles over atom indices: (0 1 2)(3 4) or (0 1 2) (3 4)."""
+    parts = re.split(r"\(([^()]*)\)", text)  # cycle contents at odd places
+    try:
+        if any(p.strip() for p in parts[::2]):
+            raise ValueError
+        cycles = [[int(t) for t in c.replace(",", " ").split()] for c in parts[1::2]]
+    except ValueError:
+        raise ValueError(f"bad cycle notation {text!r}") from None
     sigma = {i: i for i in range(n)}
-    body = text.strip()
-    if not body:
-        return sigma
-    if not (body.startswith("(") and body.endswith(")")):
-        raise ValueError(f"bad cycle notation {text!r}")
-    cycles = [[int(t) for t in c.replace(",", " ").split()] for c in body[1:-1].split(")(")]
     atoms = [i for idx in cycles for i in idx]
     if any(not (0 <= i < n) for i in atoms):
         raise ValueError(f"cycle mentions unknown atom in {text!r}")
@@ -289,21 +290,18 @@ def cmd_wf(args) -> int:
 
 def _load_group(args) -> GroupTable:
     if args.preset:
-        return preset_group(args.preset)
-    with open(args.table, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ValueError("table file nests too deeply") from None
-    rows = data.get("table") if isinstance(data, dict) else None
-    if not (
-        isinstance(rows, list)
-        and all(isinstance(r, list) and len(r) == len(rows) for r in rows)
-        and all(type(x) is int for r in rows for x in r)
-    ):
-        raise ValueError('table file must hold {"order": n, "table": n rows of n integers}')
-    if type(data.get("order")) is not int or data["order"] != len(rows):
-        raise ValueError("order field does not match table size")
+        rows = preset_group(args.preset).table
+    else:
+        with open(args.table, encoding="utf-8") as fh:
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError("table file nests too deeply") from None
+        rows = data.get("table") if isinstance(data, dict) else None
+        if not isinstance(rows, list):
+            raise ValueError('table file must hold {"order": n, "table": n rows of n integers}')
+        if type(data.get("order")) is not int or data["order"] != len(rows):
+            raise ValueError("order field does not match table size")
     # GroupTable checks associativity in O(n^3), so the cap comes first.
     if len(rows) > args.group_cap:
         raise GroupTooLarge(f"group order {len(rows)} exceeds cap {args.group_cap}")
@@ -312,9 +310,8 @@ def _load_group(args) -> GroupTable:
 
 def cmd_group(args) -> int:
     group = _load_group(args)
-    art = build_A_G(group, cap=args.group_cap)
-    rep = aut_group_of(art, cap=args.cap)
-    iso = groups_isomorphic(rep.table, group)
+    rep = aut_group_of(build_A_G(group), cap=args.cap)
+    iso = rep.table == group  # aut_group_of labels Aut(A_G) by left translations
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(rep.picture, name="A_G"))

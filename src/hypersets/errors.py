@@ -47,7 +47,7 @@ class AtomOutsideBoffa(HypersetError):
 
 
 class GroupTooLarge(SizeLimitExceeded):
-    """Group order exceeds the construction cap."""
+    """Group order exceeds `group --group-cap`."""
 
 
 class OrderTooLarge(SizeLimitExceeded):

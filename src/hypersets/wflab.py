@@ -78,6 +78,8 @@ def build_universe(
     atom_count: int, levels: int, cap: int = DEFAULT_ELEMENT_CAP
 ) -> LevelledUniverse:
     """Enumerate WF_0 .. WF_levels over ``atom_count`` fresh Quine atoms."""
+    if atom_count < 0 or levels < 0:
+        raise ValueError("atom count and levels must be >= 0")
     atoms = tuple(range(atom_count))
     u = LevelledUniverse(
         atoms=atoms,
@@ -168,6 +170,8 @@ def classify_map(u: LevelledUniverse, m: ExtendedMap) -> MapReport:
     members of y must be exactly the top-level preimages of the members of
     m(y), which costs one pass over the members instead of one per pair.
     """
+    if u is not m.source:
+        raise ValueError("classify_map needs the map's own source universe")
     top = u.top
     target = m.target
     image = [m.full_map[x] for x in top]

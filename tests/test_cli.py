@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -415,6 +416,19 @@ class TestWf:
         assert capsys.readouterr().err == (
             f"error: bad cycle notation {perm!r}: cycles must be disjoint\n")
 
+    @pytest.mark.parametrize("perm", ["(0 1) (2 3)", " (0 1)\t(2 3) "])
+    def test_space_between_cycles(self, capsys, perm):
+        code, out = run(capsys, "wf", "--atoms", "4", "--levels", "1", "--perm", perm)
+        assert code == EXIT_OK
+        assert "verdict automorphism" in out
+        assert "fixed points 4" in out  # the unions of the orbits {0, 1} and {2, 3}
+
+    @pytest.mark.parametrize("perm", ["(0 1)x(2 3)", "(a b)", "((0 1)", "(0 1))"])
+    def test_bad_cycle_notation(self, capsys, perm):
+        # these exited 2 with int()'s message about a stray token
+        assert main(["wf", "--atoms", "4", "--levels", "1", "--perm", perm]) == EXIT_SEMANTIC
+        assert capsys.readouterr().err == f"error: bad cycle notation {perm!r}\n"
+
     def test_perm_and_embed_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["wf", "--atoms", "2", "--levels", "1", "--perm", "(0 1)", "--embed-into", "3"])
@@ -460,6 +474,31 @@ class TestGroup:
         assert done.returncode == EXIT_OK, done.stderr
         assert "automorphism count 8" in done.stdout
 
+    @pytest.mark.parametrize("moduli", [
+        (13,), (16,), (8, 2), (4, 4), (4, 2, 2), (2, 2, 2, 2), (2, 3, 3),
+    ], ids=lambda moduli: "x".join(f"z{m}" for m in moduli))
+    def test_orders_above_twelve(self, tmp_path, moduli):
+        # Z_m1 x ... x Z_mk on mixed-radix digits.  Aut(A_G) = G was found
+        # and verified, and then the old order-12 cap of the group-table
+        # isomorphism check exited 3.
+        elements = list(itertools.product(*map(range, moduli)))
+        index = {x: i for i, x in enumerate(elements)}
+        table = [[index[tuple((a + b) % m for a, b, m in zip(x, y, moduli))] for y in elements]
+                 for x in elements]
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"order": len(table), "table": table}))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "hypersets.cli", "group", "--table", str(path),
+             "--group-cap", "64", "--cap", "100000"],
+            env=env, capture_output=True, text=True,
+        )
+        assert time.perf_counter() - start < 2.0
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.splitlines()[1:3] == [
+            f"automorphism count {len(table)}", "isomorphic to input True"]
+
     def test_group_cap(self, capsys, tmp_path):
         path = tmp_path / "z9.json"
         table = [[(i + j) % 9 for j in range(9)] for i in range(9)]
@@ -491,6 +530,13 @@ class TestGroup:
         start = time.perf_counter()
         assert main(["group", "--table", str(path)]) == EXIT_CAP
         assert time.perf_counter() - start < 1.0
+
+    def test_group_cap_checked_before_rows(self, capsys, tmp_path):
+        # Only the document is checked before the cap; rows are the table's.
+        path = tmp_path / "bad9.json"
+        path.write_text(json.dumps({"order": 9, "table": [["x"]] * 9}))
+        assert main(["group", "--table", str(path)]) == EXIT_CAP
+        assert capsys.readouterr().err == "size cap: group order 9 exceeds cap 8\n"
 
 
 class TestCachedParser:

@@ -2,9 +2,10 @@ import time
 
 import pytest
 
+import hypersets.cli as cli
 from hypersets.apg import pointed_isomorphic
 from hypersets.boffa import Universe
-from hypersets.errors import GroupTooLarge, OrderTooLarge, SizeLimitExceeded
+from hypersets.errors import OrderTooLarge, SizeLimitExceeded
 from hypersets.grouplab import (
     PRESET_NAMES,
     GroupTable,
@@ -174,10 +175,15 @@ class TestBuildAG:
         assert pic.node_count == want.node_count == nodes
         assert pointed_isomorphic(pic, want) is not None
 
-    def test_group_cap(self):
-        with pytest.raises(GroupTooLarge) as info:
-            build_A_G(cyclic_group(9))
-        assert isinstance(info.value, SizeLimitExceeded)
+    def test_group_cap(self, monkeypatch, capsys):
+        # build_A_G takes no cap: the CLI checks --group-cap before it
+        # validates the table, so A_G is never built for a group over it.
+        def refuse(group):
+            raise AssertionError("A_G built for a group over the cap")
+
+        monkeypatch.setattr(cli, "build_A_G", refuse)
+        assert cli.main(["group", "--preset", "s3", "--group-cap", "5"]) == cli.EXIT_CAP
+        assert capsys.readouterr().err == "size cap: group order 6 exceeds cap 5\n"
 
     def test_all_groups_of_order_eight(self):
         # Order 8 is the default cap; the search must stay quick there, and

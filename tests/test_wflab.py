@@ -51,6 +51,12 @@ class TestBuildUniverse:
         with pytest.raises(SizeLimitExceeded):
             build_universe(0, 6)
 
+    @pytest.mark.parametrize("atom_count, levels", [(-1, 1), (2, -3), (-1, -1)])
+    def test_negative_counts_rejected(self, atom_count, levels):
+        # (-1, 1) gave levels [[], [-1]] and (2, -3) gave stage 0
+        with pytest.raises(ValueError, match="must be >= 0"):
+            build_universe(atom_count, levels)
+
 
 class TestExtendMap:
     def test_identity_extends_to_identity(self):
@@ -111,6 +117,15 @@ class TestClassifyMap:
         assert rep.membership_exact
         assert rep.pure_sets_fixed
         assert rep.rank_preserved
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2)])
+    def test_universe_must_be_the_maps_source(self, shape):
+        # An equal-shaped copy read the identity as a proper embedding; a
+        # universe of another shape raised KeyError.
+        m = extend_map(build_universe(1, 1), {0: 0})
+        with pytest.raises(ValueError, match="source universe"):
+            classify_map(build_universe(*shape), m)
+        assert classify_map(m.source, m).verdict == "automorphism"
 
     def test_pure_content_fixed_pointwise(self):
         u = build_universe(3, 2)
