@@ -5,16 +5,12 @@ machinery."""
 from .apg import (
     Apg,
     DEFAULT_ISO_CAP,
-    FiniteTree,
     Partition,
-    apg_from_json,
-    apg_to_json,
     is_well_founded,
     pointed_isomorphic,
     quotient,
     rank_map,
     trim_to_accessible,
-    unfold,
 )
 from .boffa import Universe
 from .canon import (
@@ -36,12 +32,8 @@ from .grouplab import (
     aut_group_of,
     build_A_G,
     cyclic_group,
-    decode_pair,
-    decode_tuple,
     groups_isomorphic,
     klein_four_group,
-    make_cyclic_tuple,
-    make_order_gadget,
     preset_group,
     symmetric_group_3,
 )
@@ -63,7 +55,6 @@ __all__ = [
     "CanonResult",
     "DEFAULT_ISO_CAP",
     "ExtendedMap",
-    "FiniteTree",
     "GroupTable",
     "HslProgram",
     "LevelledUniverse",
@@ -71,8 +62,6 @@ __all__ = [
     "Semantics",
     "Universe",
     "all_automorphisms",
-    "apg_from_json",
-    "apg_to_json",
     "aut_group_of",
     "automorphisms",
     "build_A_G",
@@ -81,8 +70,6 @@ __all__ = [
     "classify_map",
     "counting_partition",
     "cyclic_group",
-    "decode_pair",
-    "decode_tuple",
     "equal",
     "equality_classes",
     "errors",
@@ -95,8 +82,6 @@ __all__ = [
     "is_rigid",
     "is_well_founded",
     "klein_four_group",
-    "make_cyclic_tuple",
-    "make_order_gadget",
     "max_bisimulation",
     "parse",
     "pointed_isomorphic",
@@ -106,6 +91,5 @@ __all__ = [
     "symmetric_group_3",
     "to_dot",
     "trim_to_accessible",
-    "unfold",
     "unparse",
 ]

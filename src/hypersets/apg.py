@@ -52,33 +52,6 @@ class Apg:
 
 
 @dataclass(frozen=True)
-class FiniteTree:
-    """Depth-truncated unfolding: prefix-closed set of child-position paths.
-
-    ``arity[p]`` is the number of children the underlying graph node has,
-    also for paths cut off by the depth limit.
-    """
-
-    paths: frozenset[tuple[int, ...]]
-    arity: Mapping[tuple[int, ...], int]
-
-    def __post_init__(self):
-        if () not in self.paths:
-            raise ValueError("tree must contain the empty (root) path")
-        for p in self.paths:
-            if p and p[:-1] not in self.paths:
-                raise ValueError(f"path set not prefix-closed at {p}")
-
-    @property
-    def depth(self) -> int:
-        return max(len(p) for p in self.paths)
-
-    def restricted(self, depth: int) -> "FiniteTree":
-        kept = frozenset(p for p in self.paths if len(p) <= depth)
-        return FiniteTree(kept, {p: self.arity[p] for p in kept})
-
-
-@dataclass(frozen=True)
 class Partition:
     """Assignment of each node to a class; class ids are dense naturals."""
 
@@ -218,30 +191,6 @@ def rank_map(g: Apg) -> dict[int, int]:
             r = max(r, rank[v] + 1)
         rank[u] = r
     return rank
-
-
-def unfold(g: Apg, depth: int) -> FiniteTree:
-    """All child paths from the root of length <= depth, as a position tree.
-
-    Child positions follow ascending node-id order of the graph children.
-    Beware: the number of paths can grow exponentially with depth.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    sorted_children = [sorted(kids) for kids in g.children]
-    paths = {(): g.root}
-    arity = {(): len(sorted_children[g.root])}
-    frontier = [((), g.root)]
-    for _ in range(depth):
-        nxt = []
-        for path, u in frontier:
-            for i, v in enumerate(sorted_children[u]):
-                p = path + (i,)
-                paths[p] = v
-                arity[p] = len(sorted_children[v])
-                nxt.append((p, v))
-        frontier = nxt
-    return FiniteTree(frozenset(paths), arity)
 
 
 def quotient(g: Apg, p: Partition) -> tuple[Apg, tuple[int, ...]]:
@@ -595,47 +544,3 @@ def _iso_classes(graphs) -> list[int]:
             count += 1
     return out
 
-
-# --- JSON graph format -----------------------------------------------------
-
-def apg_from_json(data: Mapping) -> Apg:
-    """Load the shared JSON graph format.
-
-    ``{"nodes": [ids], "edges": [[from, to]], "root": id, "labels": {...}}``
-    with string node ids.  Every malformed document, duplicate edges
-    included, raises ValueError.
-    """
-    try:
-        names = list(data["nodes"])
-        index = {name: i for i, name in enumerate(names)}
-        if len(index) != len(names):
-            raise ValueError("duplicate node ids")
-        children: list[set[int]] = [set() for _ in names]
-        for a, b in data["edges"]:
-            if a not in index or b not in index:
-                raise ValueError(f"edge {a!r}->{b!r} mentions unknown node")
-            if index[b] in children[index[a]]:
-                raise ValueError(f"duplicate edge {a!r}->{b!r}")
-            children[index[a]].add(index[b])
-        root = data["root"]
-        if root not in index:
-            raise ValueError(f"unknown root {root!r}")
-        labels = {index[k]: v for k, v in data.get("labels", {}).items()}
-        if not all(isinstance(v, str) for v in labels.values()):
-            raise ValueError("labels must be strings")
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed graph document: {exc!r}") from None
-    return Apg(tuple(frozenset(s) for s in children), index[root], labels)
-
-
-def apg_to_json(g: Apg) -> dict:
-    names = [str(u) for u in range(g.node_count)]
-    edges = [
-        [names[u], names[v]]
-        for u in range(g.node_count)
-        for v in sorted(g.children[u])
-    ]
-    out: dict = {"nodes": names, "edges": edges, "root": names[g.root]}
-    if g.labels:
-        out["labels"] = {names[u]: lab for u, lab in sorted(g.labels.items())}
-    return out

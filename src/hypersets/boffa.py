@@ -43,12 +43,9 @@ class Universe:
     def is_quine_atom(self, i: int) -> bool:
         return self.sets[i] == frozenset((i,))
 
-    def quine_atoms(self) -> list[int]:
-        return [i for i in sorted(self.sets) if self.is_quine_atom(i)]
-
     def snapshot(self) -> "Universe":
-        """Independent copy of every attribute, memos included; member sets
-        are immutable and shared."""
+        """Independent copy of every attribute; member sets are immutable
+        and shared."""
         u = Universe()
         for k, v in vars(self).items():
             setattr(u, k, dict(v) if isinstance(v, dict) else v)
@@ -199,52 +196,6 @@ class Universe:
         tc = self._transitive_closure(x)
         ill = _reaches_cycle(list(tc), self.sets, set())
         return x not in ill
-
-    # -- JSON ----------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        nodes = [str(i) for i in sorted(self.sets)]
-        edges = [
-            [str(i), str(c)] for i in sorted(self.sets) for c in sorted(self.sets[i])
-        ]
-        atoms = {
-            str(i): self.labels.get(i) for i in self.quine_atoms()
-        }
-        return {"nodes": nodes, "edges": edges, "atoms": atoms}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "Universe":
-        """Inverse of ``to_json``; every malformed document raises
-        ValueError."""
-        u = cls()
-        try:
-            ids = [int(s) for s in data["nodes"]]
-            if len(set(ids)) != len(ids):
-                raise ValueError("duplicate set ids")
-            members: dict[int, set[int]] = {i: set() for i in ids}
-            for a, b in data["edges"]:
-                i, c = int(a), int(b)
-                if i not in members or c not in members:
-                    raise ValueError(f"edge {a!r}->{b!r} mentions an unknown id")
-                if c in members[i]:
-                    raise ValueError(f"duplicate edge {a!r}->{b!r}")
-                members[i].add(c)
-            u.sets = {i: frozenset(members[i]) for i in ids}
-            u.next_id = max(ids) + 1 if ids else 0
-            for s, label in data.get("atoms", {}).items():
-                i = int(s)
-                if u.sets.get(i) != frozenset((i,)):
-                    raise ValueError(f"id {s} listed as atom but is not one")
-                if not isinstance(label, (str, type(None))):
-                    raise ValueError(f"atom label {label!r} is not a string")
-                if label is not None:
-                    u.labels[i] = label
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ValueError(f"malformed universe document: {exc!r}") from None
-        u._by_members = {m: i for i, m in u.sets.items()}
-        if len(u._by_members) != len(u.sets):
-            raise ValueError("two sets have the same members")
-        return u
 
 
 def _stable_key(k) -> tuple:

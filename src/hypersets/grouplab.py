@@ -25,7 +25,7 @@ from .boffa import Universe
 from .canon import _orbit, automorphisms
 from .errors import OrderTooLarge
 from .hsl import (
-    AtomDecl, Definition, HslProgram, NameRef, SetTerm, TupleTerm, _pair_parts, flatten_into,
+    AtomDecl, Definition, HslProgram, NameRef, SetTerm, TupleTerm, flatten_into,
 )
 
 
@@ -118,54 +118,6 @@ def preset_group(name: str) -> GroupTable:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     return PRESETS[name]()
-
-
-# --- gadgets -----------------------------------------------------------------
-
-def make_cyclic_tuple(u: Universe, *components: int) -> int:
-    """A set x with x = <x, c1, ..., ck>; one id per component tuple.
-
-    The non-cyclic tail is shared through extensionality; the cyclic head
-    is ill-founded and would mint a fresh copy per call, so the id is
-    memoized on the universe.
-    """
-    if not components:
-        raise ValueError("need at least one component")
-    memo: dict[tuple[int, ...], int] = u.__dict__.setdefault("_gadget_memo", {})
-    if components not in memo:
-        given = {f"c{i}": c for i, c in enumerate(components)}
-        term = TupleTerm((NameRef("r"),) + tuple(map(NameRef, given)))
-        memo[components] = flatten_into(HslProgram((Definition("r", term),)), u, given)["r"]
-    return memo[components]
-
-
-def make_order_gadget(u: Universe, a: int, b: int) -> int:
-    """The definability gadget x = <x, a, b>."""
-    return make_cyclic_tuple(u, a, b)
-
-
-def decode_pair(u: Universe, p: int) -> tuple[int, int]:
-    """Inverse of the Kuratowski encoding; raises if p is not a pair."""
-    ms = u.members(p)
-    if len(ms) == 1:
-        (w1,) = ms
-        if len(u.members(w1)) == 1:
-            (a,) = u.members(w1)
-            return a, a
-    else:
-        parts = _pair_parts(p, u.members)
-        if parts is not None:
-            return parts[:2]
-    raise ValueError(f"{p} is not a pair")
-
-
-def decode_tuple(u: Universe, x: int, arity: int) -> tuple[int, ...]:
-    if arity < 2:
-        raise ValueError("tuples have arity >= 2")
-    a, b = decode_pair(u, x)
-    if arity == 2:
-        return a, b
-    return (a,) + decode_tuple(u, b, arity - 1)
 
 
 # --- the A_G construction ----------------------------------------------------

@@ -42,30 +42,9 @@ class LevelledUniverse:
         """Least stage k with code in WF_{k+1}; atoms have rank 0."""
         return max(self.first_level[code] - 1, 0)
 
-    def atom_support(self, code: int) -> frozenset[int]:
-        """The atoms in the transitive closure of code."""
-        memo = self._support_memo
-
-        def go(c: int) -> frozenset[int]:
-            if c in memo:
-                return memo[c]
-            if c in self._atom_set:
-                memo[c] = frozenset((c,))
-                return memo[c]
-            memo[c] = frozenset().union(*(go(m) for m in self.members[c])) \
-                if self.members[c] else frozenset()
-            return memo[c]
-
-        return go(code)
-
     @cached_property
     def _atom_set(self) -> frozenset[int]:
         return frozenset(self.atoms)
-
-    @cached_property
-    def _support_memo(self) -> dict[int, frozenset[int]]:
-        """``atom_support`` per code reached so far, shared by every call."""
-        return {}
 
     def hereditary_value(self, code: int):
         """Universe-independent structural value; atoms are tagged leaves."""

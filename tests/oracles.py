@@ -160,15 +160,6 @@ def _intern(key: tuple) -> int:
     return _INTERN[key]
 
 
-def tree_shape(tree, path=()) -> tuple:
-    """Recursive multiset shape of a FiniteTree, for cross-checking the
-    graph-level dynamic programming on small instances."""
-    kids = sorted(
-        tree_shape(tree, p) for p in tree.paths if len(p) == len(path) + 1 and p[: len(path)] == path
-    )
-    return tuple(kids)
-
-
 def safa_equal_by_unfolding(g1: Apg, g2: Apg) -> bool:
     """SAFA equality decided purely with truncated-unfolding isomorphism.
 

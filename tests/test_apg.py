@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -7,14 +6,11 @@ from hypothesis import given, settings, strategies as st
 from hypersets.apg import (
     Apg,
     Partition,
-    apg_from_json,
-    apg_to_json,
     is_well_founded,
     pointed_isomorphic,
     quotient,
     rank_map,
     trim_to_accessible,
-    unfold,
 )
 from hypersets.errors import NotWellFounded, SizeLimitExceeded
 from hypersets.random_graphs import random_apg
@@ -106,37 +102,6 @@ class TestWellFoundedAndRank:
                     assert ranks[v] < ranks[u]
 
 
-class TestUnfold:
-    def test_self_loop_depth3_is_unary_chain(self):
-        t = unfold(Apg((fs([0]),), 0), 3)
-        assert t.paths == fs({(), (0,), (0, 0), (0, 0, 0)})
-        assert all(t.arity[p] == 1 for p in t.paths)
-
-    def test_depth0_single_node(self):
-        g = Apg((fs([0, 1]), fs([1])), 0)
-        t = unfold(g, 0)
-        assert t.paths == fs({()})
-        assert t.arity[()] == 2
-
-    def test_two_branch_example(self):
-        # x -> x, x -> q, q -> q at depth 2
-        g = Apg((fs([0, 1]), fs([1])), 0)
-        t = unfold(g, 2)
-        level1 = [p for p in t.paths if len(p) == 1]
-        assert len(level1) == 2
-        arities = sorted(t.arity[p] for p in level1)
-        assert arities == [1, 2]
-        assert len([p for p in t.paths if len(p) == 2]) == 3
-
-    def test_prefix_coherence(self):
-        rng = random.Random(77)
-        for _ in range(200):
-            g = random_apg(rng, 10)
-            d = rng.randint(0, 5)
-            big = unfold(g, d + 1)
-            assert big.restricted(d) == unfold(g, d)
-
-
 class TestPointedIsomorphic:
     def test_self_loops(self):
         m = pointed_isomorphic(Apg((fs([0]),), 0), Apg((fs([0]),), 0))
@@ -216,7 +181,7 @@ class TestQuotient:
                 assert fs(proj[v] for v in g.children[u]) == q.children[proj[u]]
 
 
-class TestValidationAndJson:
+class TestValidation:
     def test_rejects_unreachable(self):
         with pytest.raises(ValueError):
             Apg((fs(), fs()), 0)
@@ -224,48 +189,3 @@ class TestValidationAndJson:
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(ValueError):
             Apg((fs([2]),), 0)
-
-    def test_json_round_trip(self):
-        rng = random.Random(13)
-        for _ in range(100):
-            g = random_apg(rng, 10)
-            g2 = apg_from_json(json.loads(json.dumps(apg_to_json(g))))
-            assert g2.children == g.children and g2.root == g.root
-
-    def test_json_rejects_duplicate_edges(self):
-        data = {"nodes": ["a", "b"], "edges": [["a", "b"], ["a", "b"]], "root": "a"}
-        with pytest.raises(ValueError):
-            apg_from_json(data)
-
-    @pytest.mark.parametrize("data, message", [
-        pytest.param({"nodes": ["a"], "edges": [], "root": "a", "labels": {"9": "x"}},
-                     "KeyError\\('9'\\)", id="label-on-unknown-node"),
-        pytest.param({"nodes": ["a"], "edges": [], "root": "a", "labels": {"a": 1}},
-                     "must be strings", id="label-not-string"),
-        pytest.param({"nodes": ["a"], "edges": [["a", "b"]], "root": "a"}, "unknown node",
-                     id="edge-to-unknown"),
-        pytest.param({"nodes": ["a"], "edges": [["b", "a"]], "root": "a"}, "unknown node",
-                     id="edge-from-unknown"),
-        pytest.param({"nodes": ["a", "a"], "edges": [], "root": "a"}, "duplicate node ids",
-                     id="duplicate-node"),
-        pytest.param({"nodes": ["a"], "edges": [], "root": "b"}, "unknown root", id="unknown-root"),
-        pytest.param({"nodes": ["a", "b"], "edges": [], "root": "a"}, "unreachable",
-                     id="unreachable-node"),
-        pytest.param({"nodes": ["a"], "edges": [["a", "a", "a"]], "root": "a"}, "unpack",
-                     id="edge-not-pair"),
-        pytest.param({"nodes": ["a"], "edges": []}, "malformed graph", id="no-root"),
-        pytest.param({"nodes": [["a"]], "edges": [], "root": "a"}, "malformed graph",
-                     id="unhashable-node"),
-        pytest.param({"nodes": ["a"], "edges": [[["a"], "a"]], "root": "a"}, "malformed graph",
-                     id="unhashable-edge-end"),
-        pytest.param({"nodes": ["a"], "edges": 5, "root": "a"}, "malformed graph",
-                     id="edges-not-list"),
-        pytest.param("graph", "malformed graph", id="not-an-object"),
-    ])
-    def test_json_rejects_malformed(self, data, message):
-        with pytest.raises(ValueError, match=message):
-            apg_from_json(data)
-
-    def test_json_labels_survive(self):
-        g = Apg((fs([0]),), 0, {0: "atom"})
-        assert apg_from_json(apg_to_json(g)).labels == {0: "atom"}

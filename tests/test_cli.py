@@ -406,8 +406,27 @@ class TestWf:
         assert code == EXIT_OK
         assert "verdict proper-embedding" in out
 
-    def test_cap_exit(self, capsys):
-        assert main(["wf", "--atoms", "3", "--levels", "3"]) == EXIT_CAP
+    @pytest.mark.parametrize("argv, code, message", [
+        pytest.param(["--atoms", "3", "--levels", "3"], EXIT_CAP,
+                     "size cap: level 3 would hold 2^256 elements (cap 65536)\n",
+                     id="3-atoms-3-levels"),
+        # 4 atoms x 2 levels and 0 atoms x 5 levels each hold exactly 2^16 elements
+        pytest.param(["--atoms", "4", "--levels", "2", "--perm", "(0 1)"], EXIT_OK,
+                     "fixed points 4096\n", id="4-atoms-2-levels-perm"),
+        pytest.param(["--atoms", "0", "--levels", "5"], EXIT_CAP,
+                     "size cap: automorphism search capped at 512 elements\n",
+                     id="0-atoms-5-levels"),
+        pytest.param(["--atoms", "5", "--levels", "2"], EXIT_CAP,
+                     "size cap: level 2 would hold 2^32 elements (cap 65536)\n",
+                     id="5-atoms-2-levels"),
+    ])
+    def test_cap_exit(self, capsys, argv, code, message):
+        assert main(["wf", *argv]) == code
+        out, err = capsys.readouterr()
+        if code == EXIT_OK:
+            assert out.endswith(message) and err == ""
+        else:
+            assert (out, err) == ("", message)
 
     @pytest.mark.parametrize("perm", ["(0 1)(0 1)", "(0 0)", "(2 2)", "(0 1 0)", "(0 1)(1 2)"])
     def test_cycles_must_be_disjoint(self, capsys, perm):

@@ -4,7 +4,6 @@ import pytest
 
 import hypersets.cli as cli
 from hypersets.apg import pointed_isomorphic
-from hypersets.boffa import Universe
 from hypersets.errors import OrderTooLarge, SizeLimitExceeded
 from hypersets.grouplab import (
     PRESET_NAMES,
@@ -13,15 +12,12 @@ from hypersets.grouplab import (
     aut_group_of,
     build_A_G,
     cyclic_group,
-    decode_pair,
-    decode_tuple,
     groups_isomorphic,
     klein_four_group,
-    make_cyclic_tuple,
-    make_order_gadget,
     preset_group,
     symmetric_group_3,
 )
+from hypersets.hsl import _pair_parts
 from oracles import a_g_picture, assert_irredundant_generators, order_eight_groups
 
 
@@ -34,10 +30,16 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     ])
 
 
-def vn_pair_universe():
-    u = Universe()
-    phi = u.realize({"1": ["0"], "0": []}, {})
-    return u, phi["0"], phi["1"]
+def decode_tuple(u, x: int, arity: int) -> tuple[int, ...]:
+    """Components of the tuple x = <c1, <c2, ... <c(k-1), ck>>>, read off
+    the Kuratowski pairs {{a}, {a, b}} that the language writes."""
+    components = []
+    for _ in range(arity - 1):
+        parts = _pair_parts(x, u.members)
+        assert parts is not None, f"{x} is not a pair"
+        components.append(parts[0])
+        x = parts[1]
+    return (*components, x)
 
 
 class TestGroupTable:
@@ -71,41 +73,6 @@ class TestGroupTable:
         assert preset_group("v4").order == 4
         with pytest.raises(ValueError):
             preset_group("z9")
-
-
-class TestGadgets:
-    def test_decode_after_encode(self):
-        u, zero, one = vn_pair_universe()
-        x = make_order_gadget(u, zero, one)
-        assert decode_tuple(u, x, 3) == (x, zero, one)
-
-    def test_memoized_per_components(self):
-        u, zero, one = vn_pair_universe()
-        assert make_order_gadget(u, zero, one) == make_order_gadget(u, zero, one)
-
-    def test_swapped_components_differ(self):
-        u, zero, one = vn_pair_universe()
-        x = make_order_gadget(u, zero, one)
-        y = make_order_gadget(u, one, zero)
-        assert x != y
-        from hypersets.apg import pointed_isomorphic
-
-        assert pointed_isomorphic(u.picture_of(x), u.picture_of(y)) is None
-
-    def test_first_component_is_the_gadget_itself(self):
-        u, zero, one = vn_pair_universe()
-        x = make_order_gadget(u, zero, one)
-        first, _ = decode_pair(u, x)
-        assert first == x
-
-    def test_atom_components_decode(self):
-        # {a} = a for atoms makes the pair encoding degenerate but decodable
-        u = Universe()
-        a = u.add_quine_atom()
-        zero = u.realize({"z": []}, {})["z"]
-        x = make_cyclic_tuple(u, a, zero)
-        assert decode_tuple(u, x, 3) == (x, a, zero)
-        u.check_extensionality()
 
 
 class TestBuildAG:

@@ -18,7 +18,6 @@ from hypersets.errors import (
 )
 from hypersets import hsl
 from hypersets.cli import main
-from hypersets.grouplab import decode_pair, make_order_gadget
 from hypersets.hsl import (
     AtomDecl,
     Definition,
@@ -301,10 +300,10 @@ class TestFlattenIntoGivenIds:
     def test_given_ill_founded_set(self):
         u = Universe()
         zero = u.add_set([])
-        g = make_order_gadget(u, zero, zero)
+        g = flatten_into(parse("g = <g, a, b>;"), u, {"a": zero, "b": zero})["g"]
         before = {i: u.members(i) for i in u._transitive_closure(g)}
         ids = flatten_into(parse("r = <r, g>; s = {g, z};"), u, {"g": g, "z": zero})
-        assert decode_pair(u, ids["r"]) == (ids["r"], g)
+        assert hsl._pair_parts(ids["r"], u.members)[:2] == (ids["r"], g)
         assert ids["s"] == u.add_set([g, zero])
         assert flatten_into(parse("t = {z, g};"), u, {"g": g, "z": zero})["t"] == ids["s"]
         assert all(u.members(i) == m for i, m in before.items())
@@ -329,7 +328,8 @@ class TestFlattenIntoGivenIds:
         text, extra, exc, message = self.FAILING[case]
         u = Universe()
         a = u.add_quine_atom()
-        given = {"g": make_order_gadget(u, a, u.add_set([])), **extra}
+        g = flatten_into(parse("g = <g, a, b>;"), u, {"a": a, "b": u.add_set([])})["g"]
+        given = {"g": g, **extra}
         before = (dict(u.sets), dict(u._by_members), u.next_id)
         with pytest.raises(exc, match=message):
             flatten_into(parse(text), u, given)

@@ -130,9 +130,12 @@ class TestClassifyMap:
     def test_pure_content_fixed_pointwise(self):
         u = build_universe(3, 2)
         m = extend_map(u, {0: 1, 1: 2, 2: 0})
-        for c in u.top:
-            if not u.atom_support(c):
-                assert m.full_map[c] == c
+        pure: set[int] = set()  # no atom in the transitive closure
+        for level in u.levels[1:]:
+            pure |= {c for c in level if u.members[c] <= pure}
+        assert pure & set(u.top)
+        for c in pure & set(u.top):
+            assert m.full_map[c] == c
 
 
     @pytest.mark.parametrize("levels", [0, 1, 2])
