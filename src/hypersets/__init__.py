@@ -23,6 +23,7 @@ from .canon import (
     equality_classes,
     is_canonical_picture,
     is_rigid,
+    solve,
     to_dot,
 )
 from .equivalence import counting_partition, finsler_partition, max_bisimulation
@@ -88,6 +89,7 @@ __all__ = [
     "preset_group",
     "quotient",
     "rank_map",
+    "solve",
     "symmetric_group_3",
     "to_dot",
     "trim_to_accessible",

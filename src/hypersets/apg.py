@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from .errors import NotWellFounded, SizeLimitExceeded
 
@@ -109,6 +109,20 @@ def _bfs(root, children) -> list:
     return order
 
 
+def _reach(members, u, limit: int) -> Optional[set]:
+    """The nodes reachable from u, u included, or None if over ``limit``."""
+    seen = {u}
+    stack = [u]
+    while stack:
+        for v in members[stack.pop()]:
+            if v not in seen:
+                if len(seen) == limit:
+                    return None
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
 def _postorder(starts, children) -> list:
     """Every node reachable from ``starts``, once each, in depth-first
     post-order: a node comes after every node first reached through it.
@@ -146,20 +160,21 @@ def trim_to_accessible(
     """Induced subgraph on the nodes reachable from root, densely re-indexed
     (``_trim``), as a validated ``Apg``, and the translation table old-id
     -> new-id."""
-    kids, trans = _trim(children, root)
+    kids, trans = _trim(children, (root,))
     new_labels = {trans[u]: lab for u, lab in (labels or {}).items() if u in trans}
     return Apg(kids, 0, new_labels), trans
 
 
-def _trim(children, root) -> tuple[tuple[frozenset[int], ...], dict]:
-    """The child sets of the nodes reachable from root and the translation
-    table old-id -> new-id.  Nodes are numbered in breadth-first discovery
-    order (the root is 0), children visited in the order the input mapping
-    lists them, so the result is deterministic for a given input."""
-    if root not in children:
-        raise ValueError(f"root {root!r} is not a node")
-    trans: dict = {root: 0}
-    order = [root]
+def _trim(children, roots) -> tuple[tuple[frozenset[int], ...], dict]:
+    """The child sets of the nodes reachable from ``roots`` and the table
+    old-id -> new-id: breadth-first discovery order, the roots first, each
+    node's children in the order the input mapping lists them."""
+    trans: dict = {}
+    for root in roots:
+        if root not in children:
+            raise ValueError(f"root {root!r} is not a node")
+        trans.setdefault(root, len(trans))
+    order = list(trans)
     for u in order:
         for v in children[u]:
             if v not in trans:
@@ -477,20 +492,6 @@ def _search_with_order(ch1, colors1, ch2, colors2, orbit=None):
                 stack.append(candidates(len(stack)))
 
     return leaves(), order
-
-
-def _union_under_fresh_root(graphs: Sequence[Apg]) -> tuple[list[frozenset[int]], list[int]]:
-    """The child sets of the graphs' disjoint union below a new last node,
-    its root, and the node ids of the graphs' roots in it."""
-    children: list[frozenset[int]] = []
-    roots = []
-    for g in graphs:
-        offset = len(children)
-        roots.append(g.root + offset)
-        children.extend([frozenset(map(offset.__add__, kids)) for kids in g.children]
-                        if offset else g.children)
-    children.append(frozenset(roots))
-    return children, roots
 
 
 def pointed_isomorphic(

@@ -40,17 +40,6 @@ class Universe:
     def members(self, i: int) -> frozenset[int]:
         return self.sets[i]
 
-    def is_quine_atom(self, i: int) -> bool:
-        return self.sets[i] == frozenset((i,))
-
-    def snapshot(self) -> "Universe":
-        """Independent copy of every attribute; member sets are immutable
-        and shared."""
-        u = Universe()
-        for k, v in vars(self).items():
-            setattr(u, k, dict(v) if isinstance(v, dict) else v)
-        return u
-
     def check_extensionality(self) -> None:
         seen: dict[frozenset[int], int] = {}
         for i, m in self.sets.items():

@@ -24,10 +24,10 @@ from .apg import (
     Partition,
     _iso_classes,
     _quotient,
+    _reach,
     _refine,
     _search_with_order,
     _stable_colors,
-    _union_under_fresh_root,
 )
 from .equivalence import _finsler_classes
 from .errors import SizeLimitExceeded
@@ -105,24 +105,47 @@ def canonicalize(g: Apg, s: Semantics, cap: int = DEFAULT_ISO_CAP) -> CanonResul
     return CanonResult(Apg(children, 0), tuple([proj[c] for c in decoration]))
 
 
+def solve(children, roots, s: Semantics, cap: int = DEFAULT_ISO_CAP, pictures: bool = False):
+    """Solve the set equations u = {children[u]} for the sets at ``roots``,
+    from which every node must be reachable.  One decoration solves the
+    whole system (Aczel's solution lemma): it is settled once, under a fresh
+    root over ``roots``, and without ``pictures`` only until the roots share
+    a block.  FAFA's cap bounds each root's graph, not the union, as a
+    node's Finsler class depends only on its own sub-APG.  Returns a class
+    id per root, equal iff the roots picture the same set, from 0 in order
+    of first appearance, then each node's class and each class's member
+    classes, or None and None without ``pictures``.  A breadth-first walk
+    from u, expanding the first node met in each class, numbers u's
+    canonical picture as ``canonicalize`` does."""
+    n = len(children)
+    if n > cap and s is Semantics.FAFA and any(_reach(children, r, cap) is None for r in roots):
+        raise SizeLimitExceeded(f"finsler partition capped at {cap} nodes")
+    settled, _, decoration, block_of, _ = _settle(
+        [*children, frozenset(roots)], n, s, n + 1, () if pictures else roots)
+    first: dict[int, int] = {}
+    ids = [first.setdefault(block_of[decoration[r]], len(first)) for r in roots]
+    if not pictures:
+        return ids, None, None
+    members = {block_of[u]: frozenset([block_of[v] for v in vs]) for u, vs in enumerate(settled)}
+    return ids, [block_of[d] for d in decoration[:n]], members
+
+
 def equality_classes(
     graphs: Sequence[Apg], s: Semantics, cap: int = DEFAULT_ISO_CAP
 ) -> list[int]:
-    """One class id per graph: equal ids iff the graphs picture the same set.
-
-    AFA and SAFA settle the graphs' disjoint union under a fresh root once,
-    stopping once the roots share one block, and read off their classes; no
-    isomorphism search runs, so no cap applies.  FAFA groups the settled
-    graphs (each isomorphic to its canonical form) by pointed isomorphism,
-    so the cap bounds each graph, not their union.  Ids count from 0 in
-    order of first appearance.
-    """
+    """One class id per graph, as ``solve`` numbers them: equal ids iff the
+    graphs picture the same set.  AFA and SAFA solve the disjoint union.
+    FAFA groups the settled graphs by pointed isomorphism, each graph within
+    the cap: a joint settle costs about 1.8 times as much on many small
+    pairs, as its Finsler partition tests every node of a shared class."""
     if s is Semantics.FAFA:
         return _iso_classes([_settle(g.children, g.root, s, cap)[:2] for g in graphs])
-    children, roots = _union_under_fresh_root(graphs)
-    _, _, decoration, block_of, _ = _settle(children, len(children) - 1, s, cap, roots)
-    ids: dict[int, int] = {}
-    return [ids.setdefault(block_of[decoration[r]], len(ids)) for r in roots]
+    children, roots = [], []
+    for g in graphs:
+        k = len(children)
+        roots.append(g.root + k)
+        children += [frozenset(map(k.__add__, kids)) for kids in g.children] if k else g.children
+    return solve(children, roots, s)[0]
 
 
 def equal(g1: Apg, g2: Apg, s: Semantics, cap: int = DEFAULT_ISO_CAP) -> bool:

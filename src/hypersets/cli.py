@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 
 from .apg import DEFAULT_ISO_CAP, Apg, _bfs, _trim
 from .boffa import Universe
-from .canon import Semantics, _settle, automorphisms, equal, is_rigid, to_dot
+from .canon import Semantics, automorphisms, equal, is_rigid, solve, to_dot
 from .errors import (
     DuplicateDefinition,
     GroupTooLarge,
@@ -36,9 +36,10 @@ from .grouplab import (
     build_A_G,
     preset_group,
 )
-from .hsl import HslProgram, _printer, _pure_graph, _reach, flatten_into, parse, unparse
+from .hsl import HslProgram, _printer, _pure_graph, flatten_into, parse, unparse
 from .random_graphs import random_apg
-from .wflab import all_automorphisms, build_universe, classify_map, extend_map
+from .wflab import (all_automorphisms, build_universe, check_automorphism_cap, classify_map,
+                    extend_map, stage_sizes)
 
 EXIT_OK = 0
 EXIT_SYNTAX = 1
@@ -105,18 +106,9 @@ class _Solution:
 def _solve_names(program: HslProgram, mode: str, cap: int, names=None, pictures=True):
     """A ``_Solution`` for ``names`` (every name by default), in name order.
 
-    The pure modes settle the graph of the names once, under a fresh root
-    (one decoration solves the whole system: Aczel's solution lemma).  In
-    FAFA too, as a node's Finsler class depends only on its own sub-APG, so
-    the joint classes and pictures are the per-name ones; the cap bounds
-    each name's graph, checked first, and the union is settled uncapped.  A
-    name's picture is numbered as ``canonicalize`` numbers it, by a
-    breadth-first walk of the program's graph from the name, in term
-    order, expanding the first node met in each class; by the decoration
-    equation the others reach no new class.  So ``solve`` costs O(graph +
-    pictures printed) beyond the settle.  In Boffa mode a fresh universe's
-    set ids are the classes.  Without pictures, the pure settle stops once
-    the names share one block.
+    The pure modes ``solve`` the program's graph once; a name's picture is
+    numbered by a walk of that graph from the name, in term order.  In
+    Boffa mode a fresh universe's set ids are the classes.
     """
     if mode == "boffa":
         u = Universe()
@@ -130,23 +122,14 @@ def _solve_names(program: HslProgram, mode: str, cap: int, names=None, pictures=
             return _Solution(classes)
         ordered = {i: sorted(m) for i, m in u.sets.items()}
         return _Solution(classes, u.sets, lambda name: _bfs(ids[name], ordered), u.labels)
-    s = Semantics(mode)
     children, keys = _pure_graph(program, names)
-    root = ("names",)  # fresh: every key of the program's graph has two or three parts
-    children[root] = list(keys.values())
-    kids, trans = _trim(children, root)
-    if s is Semantics.FAFA and any(_reach(kids, trans[key], cap) is None for key in keys.values()):
-        raise SizeLimitExceeded(f"finsler partition capped at {cap} nodes")
-    roots = () if pictures else [trans[key] for key in keys.values()]
-    # Uncapped: the cap bounds each name's graph, not their union.
-    settled, _, decoration, block_of, _ = _settle(kids, 0, s, len(kids), roots)
-    class_of = [block_of[d] for d in decoration]
-    classes = {name: class_of[trans[key]] for name, key in keys.items()}
+    kids, trans = _trim(children, keys.values())
+    roots = [trans[key] for key in keys.values()]
+    ids, class_of, members = solve(kids, roots, Semantics(mode), cap, pictures)
+    classes = dict(zip(keys, ids))
     if not pictures:
         return _Solution(classes)
     ordered = [[trans[v] for v in children[key]] for key in trans]
-    members = {block_of[u]: frozenset([block_of[v] for v in kids])
-               for u, kids in enumerate(settled)}
 
     def order(name):
         firsts = [trans[keys[name]]]
@@ -243,6 +226,15 @@ def _parse_cycles(text: str, n: int) -> dict[int, int]:
 
 
 def cmd_wf(args) -> int:
+    # Every stage's size is known up front, so each cap is checked first.
+    top = stage_sizes(args.atoms, args.levels, args.cap)[-1]
+    target = None
+    if args.embed_into is not None:
+        if args.embed_into < args.atoms:
+            raise ValueError("--embed-into needs at least as many atoms")
+        target = build_universe(args.embed_into, args.levels, cap=args.cap)
+    elif args.perm is None:
+        check_automorphism_cap(top)
     u = build_universe(args.atoms, args.levels, cap=args.cap)
     doc = {
         "atoms": args.atoms,
@@ -253,10 +245,7 @@ def cmd_wf(args) -> int:
     if args.perm is not None:
         sigma = _parse_cycles(args.perm, args.atoms)
         rep = classify_map(u, extend_map(u, sigma))
-    elif args.embed_into is not None:
-        if args.embed_into < args.atoms:
-            raise ValueError("--embed-into needs at least as many atoms")
-        target = build_universe(args.embed_into, args.levels, cap=args.cap)
+    elif target is not None:
         sigma = {i: i for i in range(args.atoms)}
         rep = classify_map(u, extend_map(u, sigma, into=target))
     else:
@@ -372,7 +361,7 @@ def cmd_repl(args) -> int:
     statements: dict[str, object] = {}  # name -> statement; later lines replace
     out = sys.stdout
 
-    def solve(names, pictures=True):
+    def solve_names(names, pictures=True):
         program = HslProgram(tuple(statements.values()))
         return _solve_names(program, mode, cap, names, pictures)
 
@@ -400,11 +389,11 @@ def cmd_repl(args) -> int:
                 out.write(f"mode {operands[0]}\n")
             elif directive == ":eq":
                 a, b = operands
-                classes = solve(operands, pictures=False).classes
+                classes = solve_names(operands, pictures=False).classes
                 out.write(("equal" if classes[a] == classes[b] else "unequal") + "\n")
             else:
                 name = operands[0]
-                sol = solve(operands[:1])
+                sol = solve_names(operands[:1])
                 pic = sol.picture(name)
                 if directive == ":canon":
                     out.write(sol.text(name))

@@ -68,7 +68,7 @@ def _finsler_classes(children, cap: int) -> list[int]:
     for nodes in members:
         if len(nodes) < 2:
             continue
-        ids = _iso_classes([(_trim(raw, u)[0], 0) for u in nodes])
+        ids = _iso_classes([(_trim(raw, (u,))[0], 0) for u in nodes])
         # The class's first representative keeps its id; the others are new.
         keep = class_of[nodes[0]]
         for u, i in zip(nodes, ids):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain, count
 from typing import Iterable, Mapping, Optional
 
-from .apg import Apg, _bfs, _postorder, trim_to_accessible
+from .apg import Apg, _bfs, _postorder, _reach, trim_to_accessible
 from .boffa import Universe
 from .errors import (
     AtomOutsideBoffa,
@@ -558,21 +558,6 @@ def _numeral_interior(members, u, k: int) -> Optional[Counter]:
     inner = Counter([v for w in reach for v in members[w]])
     del inner[u]
     return inner
-
-
-def _reach(members, u, limit: int) -> Optional[set]:
-    """The nodes reachable from u, u included, or None once there are more
-    than ``limit`` of them."""
-    seen = {u}
-    stack = [u]
-    while stack:
-        for v in members[stack.pop()]:
-            if v not in seen:
-                if len(seen) == limit:
-                    return None
-                seen.add(v)
-                stack.append(v)
-    return seen
 
 
 def _numeral_values(members: dict) -> dict:

@@ -53,12 +53,26 @@ class LevelledUniverse:
         return frozenset(self.hereditary_value(m) for m in self.members[code])
 
 
+def stage_sizes(atom_count: int, levels: int, cap: int = DEFAULT_ELEMENT_CAP) -> list[int]:
+    """|WF_0| .. |WF_levels| before any is built: |WF_0| is the atom count,
+    |WF_k| = 2^|WF_(k-1)|, and the stages are cumulative, so the last counts
+    every code.  Raises at the first level k >= 1 over the cap."""
+    if atom_count < 0 or levels < 0:
+        raise ValueError("atom count and levels must be >= 0")
+    sizes = [atom_count]
+    for k in range(1, levels + 1):
+        if sizes[-1] > 30 or (1 << sizes[-1]) > cap:
+            raise SizeLimitExceeded(f"level {k} would hold 2^{sizes[-1]} elements (cap {cap})")
+        sizes.append(1 << sizes[-1])
+    return sizes
+
+
 def build_universe(
     atom_count: int, levels: int, cap: int = DEFAULT_ELEMENT_CAP
 ) -> LevelledUniverse:
     """Enumerate WF_0 .. WF_levels over ``atom_count`` fresh Quine atoms."""
-    if atom_count < 0 or levels < 0:
-        raise ValueError("atom count and levels must be >= 0")
+    if stage_sizes(atom_count, levels, cap)[-1] > cap:
+        raise SizeLimitExceeded(f"element count exceeds cap {cap}")
     atoms = tuple(range(atom_count))
     u = LevelledUniverse(
         atoms=atoms,
@@ -68,13 +82,8 @@ def build_universe(
         first_level={a: 0 for a in atoms},
     )
     next_code = atom_count
-    total = atom_count
     for k in range(1, levels + 1):
         prev = u.levels[-1]
-        if len(prev) > 30 or (1 << len(prev)) > cap:
-            raise SizeLimitExceeded(
-                f"level {k} would hold 2^{len(prev)} elements (cap {cap})"
-            )
         level: list[int] = []
         for mask in range(1 << len(prev)):
             subset = frozenset(prev[i] for i in range(len(prev)) if mask >> i & 1)
@@ -85,9 +94,6 @@ def build_universe(
                 u.intern[subset] = code
                 u.members[code] = subset
                 u.first_level[code] = k
-                total += 1
-                if total > cap:
-                    raise SizeLimitExceeded(f"element count exceeds cap {cap}")
             level.append(code)
         u.levels.append(level)
     return u
@@ -225,6 +231,12 @@ class StructureAutomorphisms:
         return {c: codes[p[i] - 1] for i, c in enumerate(codes, 1)}
 
 
+def check_automorphism_cap(top_size: int, cap: int = DEFAULT_ISO_CAP) -> None:
+    """``all_automorphisms``' cap, checked on the top level's size alone."""
+    if top_size > cap:
+        raise SizeLimitExceeded(f"automorphism search capped at {cap} elements")
+
+
 def all_automorphisms(
     u: LevelledUniverse, cap: int = DEFAULT_ISO_CAP
 ) -> StructureAutomorphisms:
@@ -236,10 +248,8 @@ def all_automorphisms(
     picture searched has a fresh root 0 over the top level and node i + 1
     for its i-th smallest code; the cap counts top-level elements only.
     """
-    top = u.top
-    if len(top) > cap:
-        raise SizeLimitExceeded(f"automorphism search capped at {cap} elements")
-    codes = sorted(top)
+    check_automorphism_cap(len(u.top), cap)
+    codes = sorted(u.top)
     node = {c: i + 1 for i, c in enumerate(codes)}
     children = [frozenset(node.values())]
     children += [frozenset(node[m] for m in u.members[c]) for c in codes]

@@ -16,6 +16,7 @@ from hypersets.canon import (
     equality_classes,
     is_canonical_picture,
     is_rigid,
+    solve,
     to_dot,
 )
 from hypersets.equivalence import counting_partition, finsler_partition, max_bisimulation
@@ -158,6 +159,17 @@ def relabelled(rng: random.Random, g: Apg) -> Apg:
     return Apg(tuple(children), perm[g.root])
 
 
+def disjoint_union(graphs) -> tuple[list[frozenset[int]], list[int]]:
+    """The graphs' child sets side by side, and their roots' ids there."""
+    children: list[frozenset[int]] = []
+    roots = []
+    for g in graphs:
+        offset = len(children)
+        roots.append(g.root + offset)
+        children += [fs(v + offset for v in kids) for kids in g.children]
+    return children, roots
+
+
 def crown(n: int) -> Apg:
     """A root over the n-ring a_i -> a_(i+1 mod n); its group is Z_n."""
     return Apg((fs(range(1, n + 1)), *(fs([(i + 1) % n + 1]) for i in range(n))), 0)
@@ -292,6 +304,11 @@ class TestSettleAgainstReference:
             for s in ALL_MODES:
                 want = reference_equality_classes(graphs, s)
                 assert equality_classes(graphs, s) == want, (s, graphs)
+            # The joint FAFA settle, which FAFA equality_classes does not take
+            children, roots = disjoint_union(graphs)
+            want = reference_equality_classes(graphs, Semantics.FAFA)
+            for pictures in (False, True):
+                assert solve(children, roots, Semantics.FAFA, pictures=pictures)[0] == want
 
 
 class TestEqualityBuildsOnlyItsVerdict:
@@ -356,11 +373,14 @@ class TestEqualityBuildsOnlyItsVerdict:
             calls.clear()
             assert equal(g, copy, Semantics.SAFA)
             assert len(calls) == 1
-            # Without the roots, the fresh root's two children in one block
-            # take the settle into a second round.
-            children, _ = canon._union_under_fresh_root([g, copy])
+            children, roots = disjoint_union([g, copy])
             calls.clear()
-            canon._settle(children, len(children) - 1, Semantics.SAFA, DEFAULT_ISO_CAP)
+            assert solve(children, roots, Semantics.SAFA) == ([0, 0], None, None)
+            assert len(calls) == 1
+            # With pictures the settle does not stop at the roots: the fresh
+            # root's two children in one block take it into a second round.
+            calls.clear()
+            assert solve(children, roots, Semantics.SAFA, pictures=True)[0] == [0, 0]
             assert len(calls) >= 2
 
     def test_fafa_cap_bounds_each_graph(self):

@@ -22,6 +22,7 @@ from hypersets.cli import (
     EXIT_UNEQUAL,
     main,
 )
+from hypersets import wflab
 from hypersets.grouplab import PRESET_NAMES
 from hypersets.hsl import flatten, flatten_into, parse
 
@@ -427,6 +428,40 @@ class TestWf:
             assert out.endswith(message) and err == ""
         else:
             assert (out, err) == ("", message)
+
+    # Every refused shape of 0-5 atoms and 0-5 levels, by its stderr; the
+    # rest exit 0.  Stage k holds 2^(size of stage k - 1) elements.
+    AUTOMORPHISM_CAP = "size cap: automorphism search capped at 512 elements\n"
+    REFUSED = {
+        (0, 5): AUTOMORPHISM_CAP,  # 65,536 elements
+        (1, 4): AUTOMORPHISM_CAP,
+        (1, 5): "size cap: level 5 would hold 2^65536 elements (cap 65536)\n",
+        (2, 3): AUTOMORPHISM_CAP,
+        **{(2, n): "size cap: level 4 would hold 2^65536 elements (cap 65536)\n"
+           for n in (4, 5)},
+        **{(3, n): "size cap: level 3 would hold 2^256 elements (cap 65536)\n"
+           for n in (3, 4, 5)},
+        (4, 2): AUTOMORPHISM_CAP,
+        **{(4, n): "size cap: level 3 would hold 2^65536 elements (cap 65536)\n"
+           for n in (3, 4, 5)},
+        **{(5, n): "size cap: level 2 would hold 2^32 elements (cap 65536)\n"
+           for n in (2, 3, 4, 5)},
+    }
+
+    @pytest.mark.parametrize("atoms, levels", itertools.product(range(6), range(6)),
+                             ids=lambda n: str(n))
+    def test_shape_exits(self, monkeypatch, capsys, atoms, levels):
+        """A refused shape is refused before any universe is built."""
+        built = []
+        real = wflab.LevelledUniverse
+        monkeypatch.setattr(wflab, "LevelledUniverse", lambda **kw: built.append(kw) or real(**kw))
+        code = main(["wf", "--atoms", str(atoms), "--levels", str(levels)])
+        err = capsys.readouterr().err
+        if (atoms, levels) in self.REFUSED:
+            assert (code, err) == (EXIT_CAP, self.REFUSED[atoms, levels])
+            assert built == []
+        else:
+            assert (code, err, len(built)) == (EXIT_OK, "", 1)
 
     @pytest.mark.parametrize("perm", ["(0 1)(0 1)", "(0 0)", "(2 2)", "(0 1 0)", "(0 1)(1 2)"])
     def test_cycles_must_be_disjoint(self, capsys, perm):

@@ -260,7 +260,7 @@ class TestFlattenIntoBoffa:
     def test_atoms_minted_with_labels(self):
         u = Universe()
         ids = flatten_into(parse("atom a; atom b;"), u)
-        assert u.is_quine_atom(ids["a"]) and u.is_quine_atom(ids["b"])
+        assert u.members(ids["a"]) == {ids["a"]} and u.members(ids["b"]) == {ids["b"]}
         assert ids["a"] != ids["b"]
         assert u.labels[ids["a"]] == "a"
 

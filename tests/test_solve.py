@@ -375,12 +375,35 @@ def test_eq_reads_no_pictures(monkeypatch, mode):
     program = parse(COPIES)
     want = _solve_names(program, mode, 512).classes
     counts: dict[str, int] = {}
-    count_calls(monkeypatch, [(canon, "canonicalize"), (apg, "_union_under_fresh_root")], counts)
+    count_calls(monkeypatch, [(canon, "canonicalize")], counts)
+    pictures = []
+    monkeypatch.setattr(cli, "solve", lambda *a, _f=canon.solve: pictures.append(a[4]) or _f(*a))
     for a, b in (("x", "u"), ("x", "w"), ("y", "y")):
         sol = _solve_names(program, mode, 512, (a, b), pictures=False)
         assert (sol.classes[a] == sol.classes[b]) == (want[a] == want[b])
         assert sol.members is None and sol.order is None
-    assert counts == {"canonicalize": 0, "_union_under_fresh_root": 0}
+    assert counts == {"canonicalize": 0}
+    assert pictures == ([] if mode == "boffa" else [False] * 3)
+
+
+@pytest.mark.parametrize("mode", ["afa", "safa", "fafa"])
+def test_one_solve_call(monkeypatch, capsys, tmp_path, mode):
+    """``equal`` in AFA and SAFA solves the disjoint union once, settling it
+    once and trimming nothing; ``eq``, ``solve`` and ``aut`` each solve the
+    program once."""
+    path = tmp_path / "copies.hs-set"
+    path.write_text(COPIES)
+    graphs = flatten(parse(COPIES), ["x", "u"])
+    counts: dict[str, int] = {}
+    count_calls(monkeypatch, [(canon, "solve"), (canon, "_settle"), (apg, "_trim")], counts)
+    if mode != "fafa":
+        assert canon.equal(graphs["x"], graphs["u"], canon.Semantics(mode))
+        assert counts == {"solve": 1, "_settle": 1, "_trim": 0}
+    for argv in (["eq", str(path), "x", "u"], ["solve", str(path)], ["aut", str(path), "x"]):
+        counts["solve"] = 0
+        assert main([*argv, "--mode", mode]) == 0
+        assert counts["solve"] == 1, argv
+    capsys.readouterr()
 
 
 def test_boffa_solve_reads_no_picture_of(monkeypatch, tmp_path):
