@@ -512,8 +512,11 @@ def pointed_isomorphic(
 
 def _pointed_iso(ch1, root1: int, ch2, root2: int) -> Optional[tuple[int, ...]]:
     """``pointed_isomorphic`` on bare child sets of equal node and edge
-    counts, with no cap: the first isomorphism as a tuple of images, or
-    None."""
+    counts, with no cap: an isomorphism as a tuple of images, or None.
+    Equal child sets under equal roots give the identity at once; other
+    graphs, the search's first map."""
+    if root1 == root2 and ch1 == ch2:
+        return tuple(range(len(ch1)))
     # Joint refinement over the disjoint union; both roots share a seed colour.
     n = len(ch1)
     init = [0] * (2 * n)
@@ -523,24 +526,30 @@ def _pointed_iso(ch1, root1: int, ch2, root2: int) -> Optional[tuple[int, ...]]:
     return next(isomorphisms(ch1, c1, ch2, c2), None) if sorted(c1) == sorted(c2) else None
 
 
-def _iso_classes(graphs) -> list[int]:
+def _iso_classes(graphs, found=None) -> list[int]:
     """One class id per (child sets, root) pair, equal iff the graphs are
     pointed-isomorphic; ids count from 0 in order of first appearance.
 
     Each graph is compared with one representative per class, and only
-    with those of its own node and edge count; callers apply the cap.
+    with those of its own node and edge count; callers apply the cap.  The
+    graphs are read one at a time, and when graph i maps onto the
+    representative that is graph j by phi, ``found(i, j, phi)`` is called
+    before the next graph is read.
     """
     reps: dict[tuple[int, int], list[tuple[tuple, int, int]]] = {}
     out = []
     count = 0
-    for ch, root in graphs:
+    for i, (ch, root) in enumerate(graphs):
         bucket = reps.setdefault((len(ch), sum(map(len, ch))), [])
-        for rep, rep_root, i in bucket:
-            if _pointed_iso(ch, root, rep, rep_root) is not None:
-                out.append(i)
+        for rep, rep_root, j in bucket:
+            phi = _pointed_iso(ch, root, rep, rep_root)
+            if phi is not None:
+                out.append(out[j])
+                if found is not None:
+                    found(i, j, phi)
                 break
         else:
-            bucket.append((ch, root, count))
+            bucket.append((ch, root, i))
             out.append(count)
             count += 1
     return out

@@ -226,14 +226,16 @@ def _parse_cycles(text: str, n: int) -> dict[int, int]:
 
 
 def cmd_wf(args) -> int:
-    # Every stage's size is known up front, so each cap is checked first.
+    # Every stage's size is known up front, so each cap is checked first,
+    # and --perm is parsed before any stage is built.
     top = stage_sizes(args.atoms, args.levels, args.cap)[-1]
+    sigma = None if args.perm is None else _parse_cycles(args.perm, args.atoms)
     target = None
     if args.embed_into is not None:
         if args.embed_into < args.atoms:
             raise ValueError("--embed-into needs at least as many atoms")
         target = build_universe(args.embed_into, args.levels, cap=args.cap)
-    elif args.perm is None:
+    elif sigma is None:
         check_automorphism_cap(top)
     u = build_universe(args.atoms, args.levels, cap=args.cap)
     doc = {
@@ -242,8 +244,7 @@ def cmd_wf(args) -> int:
         "level_sizes": [len(level) for level in u.levels],
     }
     rep = None
-    if args.perm is not None:
-        sigma = _parse_cycles(args.perm, args.atoms)
+    if sigma is not None:
         rep = classify_map(u, extend_map(u, sigma))
     elif target is not None:
         sigma = {i: i for i in range(args.atoms)}

@@ -51,7 +51,11 @@ def _finsler_classes(children, cap: int) -> list[int]:
 
     Finsler refines counting, so only nodes that share their counting class
     with another node need their sub-APGs trimmed and compared; when the
-    counting partition is discrete it is the answer.
+    counting partition is discrete it is the answer.  A pointed isomorphism
+    phi from u's sub-APG onto another node's restricts to one from x's onto
+    phi(x)'s for every x below u, so each map found unites all the pairs it
+    maps (union-find, Tarjan, JACM 1975), and a node already united with a
+    tested one is neither trimmed nor tested.
     """
     n = len(children)
     if n > cap:
@@ -64,14 +68,41 @@ def _finsler_classes(children, cap: int) -> list[int]:
     for u, c in enumerate(class_of):
         members[c].append(u)
 
+    parent = list(range(n))  # union-find; every union is a Finsler equality
+    tested: dict[int, int] = {}  # a component's root -> the index of a node tested in it
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
     raw = dict(enumerate(children))
     for nodes in members:
         if len(nodes) < 2:
             continue
-        ids = _iso_classes([(_trim(raw, (u,))[0], 0) for u in nodes])
+        reach: list[list[int]] = []  # each tested node's sub-APG, old ids in trimmed order
+
+        def untested():
+            for u in nodes:
+                r = find(u)
+                if r not in tested:
+                    tested[r] = len(reach)
+                    sub, trans = _trim(raw, (u,))
+                    reach.append(list(trans))
+                    yield sub, 0
+
+        def unite(i: int, j: int, phi) -> None:
+            for x, y in zip(reach[i], phi):
+                x, y = find(x), find(reach[j][y])
+                if y not in tested:  # a tested root stays a root
+                    x, y = y, x
+                parent[x] = y
+
+        ids = _iso_classes(untested(), unite)
         # The class's first representative keeps its id; the others are new.
         keep = class_of[nodes[0]]
-        for u, i in zip(nodes, ids):
+        for u in nodes:
+            i = ids[tested[find(u)]]
             class_of[u] = keep if i == 0 else next_class + i - 1
         next_class += max(ids)
     return class_of

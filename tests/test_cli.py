@@ -483,6 +483,14 @@ class TestWf:
         assert main(["wf", "--atoms", "4", "--levels", "1", "--perm", perm]) == EXIT_SEMANTIC
         assert capsys.readouterr().err == f"error: bad cycle notation {perm!r}\n"
 
+    def test_bad_perm_is_refused_before_any_stage_is_built(self, monkeypatch, capsys):
+        # the 65,536-set stage was built first, and only then was "(0 1" read
+        built = []
+        monkeypatch.setattr(cli, "build_universe", lambda *a, **kw: built.append(a))
+        assert main(["wf", "--atoms", "4", "--levels", "2", "--perm", "(0 1"]) == EXIT_SEMANTIC
+        assert capsys.readouterr().err == "error: bad cycle notation '(0 1'\n"
+        assert built == []
+
     def test_perm_and_embed_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["wf", "--atoms", "2", "--levels", "1", "--perm", "(0 1)", "--embed-into", "3"])

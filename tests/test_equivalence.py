@@ -16,6 +16,7 @@ from hypersets.errors import SizeLimitExceeded
 from hypersets.random_graphs import random_apg, random_well_founded_apg
 
 from oracles import (
+    brute_force_pointed_iso,
     mostowski_collapse,
     naive_bisimulation,
     naive_counting_partition,
@@ -142,6 +143,47 @@ class TestFinslerPartition:
             one_class += cnt.class_count == 1 and g.node_count > 1
             assert finsler_partition(g) == naive_finsler_partition(g), g
         assert discrete >= 100 and one_class >= 100
+
+    def test_matches_naive_oracle_where_one_map_settles_many_pairs(self):
+        # A map found for one node unites every node below it with its
+        # image; these shapes have large classes that such maps settle.
+        # Brute force decides the small sub-APGs, the library's search the
+        # rest, so the oracle still compares every node with every class.
+        def same(g1, g2):
+            if max(g1.node_count, g2.node_count) <= 7:
+                return brute_force_pointed_iso(g1, g2)
+            return pointed_isomorphic(g1, g2) is not None
+
+        def copies(h, perms):
+            """Copies of h, renumbered by each permutation, under one root."""
+            k = h.node_count
+            kids = [fs(1 + i * k + p[h.root] for i, p in enumerate(perms))]
+            for i, p in enumerate(perms):
+                inv = {p[u]: u for u in range(k)}
+                kids += [fs(1 + i * k + p[v] for v in h.children[inv[w]]) for w in range(k)]
+            return Apg(tuple(kids), 0)
+
+        rng = random.Random(107)
+        graphs = []
+        for n in range(1, 30, 4):
+            graphs.append(Apg(tuple(fs([(i + 1) % n]) for i in range(n)), 0))  # ring
+            crown = (fs(range(1, n + 1)), *(fs([i % n + 1]) for i in range(1, n + 1)))
+            graphs.append(Apg(crown, 0))
+        for _ in range(60):
+            h = random_apg(rng, 6)
+            perms = [rng.sample(range(h.node_count), h.node_count) for _ in range(2)]
+            graphs.append(copies(h, perms))
+        squares = {x * x % 13 for x in range(1, 13)}
+        paley = [fs(range(1, 14))]
+        paley += [fs(1 + j for j in range(13) if (j - i) % 13 in squares) for i in range(13)]
+        graphs.append(Apg(tuple(paley), 0))
+        merged = 0
+        for g in graphs:
+            p = finsler_partition(g)
+            merged += g.node_count - p.class_count
+            assert p == naive_finsler_partition(g, same), g
+        assert finsler_partition(graphs[-1]).class_count == 2  # Paley(13) is vertex-transitive
+        assert merged >= 300
 
     def test_cap(self):
         g = Apg(tuple(fs([u + 1]) for u in range(9)) + (fs(),), 0)

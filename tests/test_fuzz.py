@@ -18,16 +18,16 @@ wall-clock bound also holds Boffa insertion of two nests that deep to
 about linear time: merging one nesting level per pass over the graph
 takes seconds there.
 
-Commands on bytes, grammar programs and REPL sessions run with
-``--cap 128``, which bounds only FAFA partitions and isomorphism search.
-FAFA canonicalization compares sub-APGs pair by pair, so its time grows
-about quadratically up to the default cap of 512 nodes: a five-definition
-program of about 500 nodes drawn here took 5 s in FAFA mode at the default
-cap, against 0.05 s in AFA mode.  ``wf`` draws its element cap up to 4,096: at the default of 2^16, building and
-classifying a full stage takes up to about 1.3 s, near the wall-clock
-bound.  Symmetric sets go through ``aut``, ``:aut`` and ``:rigid`` in Boffa
-mode at the default cap: the slowest, about 500 interchangeable atoms,
-takes about 1.2 s.
+Commands on bytes, grammar programs and REPL sessions run at the default
+cap of 512 nodes, which bounds only FAFA partitions and isomorphism search.
+FAFA's Finsler partition unites every pair of nodes that a pointed
+isomorphism it finds maps onto each other, and skips the nodes so settled,
+so a class of interchangeable sub-APGs costs a test or two rather than one
+per node.  ``wf`` draws its element cap up to 4,096: at the default of
+2^16, building and classifying a full stage takes up to about 1.3 s, near
+the wall-clock bound.  Symmetric sets go through ``aut``, ``:aut`` and
+``:rigid`` in Boffa mode at the default cap: the slowest, about 500
+interchangeable atoms, takes about 1.2 s.
 """
 
 import contextlib
@@ -45,7 +45,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypersets.cli import MODES, main
 
 EXIT_CODES = {0, 1, 2, 3, 10, 11}
-CAP = ["--cap", "128"]
 WALL_S = 2.0  # per command, far above the few milliseconds each one takes
 FUZZ = settings(
     derandomize=True,
@@ -148,9 +147,9 @@ def write(directory: str, data: bytes) -> str:
 
 def solve_and_eq(path: str, a: str, b: str) -> None:
     for mode in MODES:
-        run_cli(["solve", path, "--mode", mode, *CAP])
-        run_cli(["solve", path, "--mode", mode, "--json", *CAP])
-        run_cli(["eq", path, a, b, "--mode", mode, *CAP])
+        run_cli(["solve", path, "--mode", mode])
+        run_cli(["solve", path, "--mode", mode, "--json"])
+        run_cli(["eq", path, a, b, "--mode", mode])
 
 
 @given(raw_inputs)
@@ -167,7 +166,7 @@ def test_grammar_programs(program, aut_mode):
     with tempfile.TemporaryDirectory() as tmp:
         path = write(tmp, text.encode())
         solve_and_eq(path, a, b)
-        run_cli(["aut", path, a, "--mode", aut_mode, *CAP])
+        run_cli(["aut", path, a, "--mode", aut_mode])
 
 
 def repl_lines(picture_path: str):
@@ -191,7 +190,7 @@ def test_repl_sessions(data):
     with tempfile.TemporaryDirectory() as tmp:
         lines = data.draw(st.lists(repl_lines(os.path.join(tmp, "pic.dot")), max_size=10))
         for mode in MODES:
-            assert run_cli(["repl", "--mode", mode, *CAP], "\n".join(lines) + "\n")[0] == 0
+            assert run_cli(["repl", "--mode", mode], "\n".join(lines) + "\n")[0] == 0
 
 
 @st.composite

@@ -18,7 +18,7 @@ import tracemalloc
 
 import pytest
 
-from hypersets import apg, boffa, canon, cli, equivalence, hsl
+from hypersets import apg, boffa, canon, cli, hsl
 from hypersets.apg import Apg, Partition
 from hypersets.canon import automorphisms, to_dot
 from hypersets.cli import _solve_names, main
@@ -285,35 +285,50 @@ def count_calls(monkeypatch, owner_names, counts):
 
 
 @pytest.mark.parametrize("mode", ["afa", "safa", "fafa"])
-def test_pure_solve_settles_once(monkeypatch, tmp_path, mode):
-    """FAFA's Finsler partition compares the ring's nodes' sub-APGs with one
-    another, which is quadratic in the ring, so it gets a smaller ring (a
-    1,000-ring takes seconds); it settles once all the same, and runs the
-    isomorphism grouping only inside the Finsler partition."""
-    n = 250 if mode == "fafa" else RING
-    path = tmp_path / "ring.hs-set"
-    path.write_text(ring_program(n))
+def test_pure_solve_settles_once(monkeypatch, ring_path, mode):
+    """Solve settles the ring once in every mode.  FAFA's Finsler partition
+    makes one pointed-isomorphism test and no search: every node's trimmed
+    sub-APG has the same child sets, so the test returns the identity, and
+    that one map unites every node of the ring with the next."""
     counts: dict[str, int] = {}
     count_calls(monkeypatch, [(canon, "_settle"), (apg, "trim_to_accessible"),
-                              (canon, "canonicalize"), (apg, "_iso_classes")], counts)
-    counts["finsler"] = 0
-
-    def counted_iso_classes(*args, _f=equivalence._iso_classes):
-        counts["finsler"] += 1
-        return _f(*args)
-
-    monkeypatch.setattr(equivalence, "_iso_classes", counted_iso_classes)
+                              (canon, "canonicalize"), (apg, "_pointed_iso"),
+                              (apg, "isomorphisms")], counts)
     sink = ByteCount()
     monkeypatch.setattr("sys.stdout", sink)
-    assert main(["solve", str(path), "--mode", mode]) == 0
+    assert main(["solve", ring_path, "--mode", mode, "--cap", str(RING)]) == 0
     assert counts["_settle"] == 1
     assert counts["trim_to_accessible"] <= 1
     assert counts["canonicalize"] == 0
-    assert counts["_iso_classes"] == 0  # not from canon or cli
-    # FAFA: one counting class of two or more nodes in each of two rounds
-    assert counts["finsler"] == (mode == "fafa") * 2
-    assert sink.lines == ring_lines(n)
-    assert sink.tail.endswith(f"equal r{n - 2} r{n - 1}\n")
+    assert counts["_pointed_iso"] == (mode == "fafa")
+    assert counts["isomorphisms"] == 0
+    assert sink.lines == ring_lines(RING)
+    assert sink.tail.endswith(f"equal r{RING - 2} r{RING - 1}\n")
+
+
+def paley_program(q: int) -> str:
+    """r over the q vertex sets of the Paley graph on Z_q, q a prime that
+    is 1 mod 4, each vertex the set of its neighbours."""
+    squares = {x * x % q for x in range(1, q)}
+    return f"r = {{{', '.join(f'v{i}' for i in range(q))}}};\n" + "".join(
+        f"v{i} = {{{', '.join(f'v{j}' for j in range(q) if (j - i) % q in squares)}}};\n"
+        for i in range(q))
+
+
+@pytest.mark.parametrize("q", [13, 29, 53])
+def test_fafa_solve_on_paley_makes_at_most_three_tests(monkeypatch, tmp_path, q):
+    """The q vertices share one counting class, and a test per vertex made
+    q - 1 tests.  Each map found is an automorphism of the Paley graph and
+    unites every vertex with its image, so a few maps settle the class."""
+    path = tmp_path / "paley.hs-set"
+    path.write_text(paley_program(q))
+    counts: dict[str, int] = {}
+    count_calls(monkeypatch, [(apg, "_pointed_iso")], counts)
+    sink = ByteCount()
+    monkeypatch.setattr("sys.stdout", sink)
+    assert main(["solve", str(path), "--mode", "fafa"]) == 0
+    assert counts["_pointed_iso"] <= 3
+    assert sink.tail.endswith(f"equal v{q - 2} v{q - 1}\n")
 
 
 # Two names of 6 and 8 nodes that share no node: 14 nodes in all.
