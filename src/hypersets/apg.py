@@ -349,14 +349,8 @@ def _refine(children, init=None, counting=False, parents_too=False) -> list[int]
     return block_of
 
 
-def _stable_colors(children, init: list[int]) -> list[int]:
-    """Coarsest refinement of the colouring init in which same-coloured
-    nodes have equally many children and parents of every colour."""
-    return _refine(children, init, counting=True, parents_too=True)
-
-
 def _search_order(children, parents, size) -> list[int]:
-    """The order in which ``isomorphisms`` maps the nodes, given each node's
+    """The order in which ``_search`` maps the nodes, given each node's
     colour-class size: smallest class first, then the most neighbours
     (children or parents) already placed, then the smallest id.  So each
     node is checked, as early as possible, against mapped nodes next to it,
@@ -389,53 +383,50 @@ def _search_order(children, parents, size) -> list[int]:
     return order
 
 
-def isomorphisms(ch1, colors1, ch2, colors2) -> Iterator[tuple[int, ...]]:
-    """Every colour-preserving bijection from graph 1 onto graph 2 that
-    preserves and reflects edges, as a tuple of images.
+def _search(ch1, root1: int, ch2, root2: int, orbit=None):
+    """The package's one backtracking search: a generator of every bijection
+    from graph 1 onto graph 2 that maps root1 to root2 and preserves and
+    reflects edges, as a tuple of images, and the order in which it maps
+    the nodes of graph 1.
 
-    The one backtracking search of the package.  Nodes are mapped in the
-    connectivity-first order of ``_search_order``, each to the unused nodes
-    of its colour in ascending order, so the results come in a fixed order.
-    The colours must be invariant under the maps sought, and nodes of one
-    colour must have equal out-degrees (``_stable_colors`` gives both).
-    Self-loops are never checked directly: every other edge is, so a
-    degree-preserving map carries loops onto loops.
+    The search colours the nodes itself, by one ``_refine`` over child and
+    parent counts with the roots seeded: over the disjoint union of the two
+    graphs, or over graph 1 alone when graph 2 is the same graph under the
+    same root.  The colours are invariant under every map sought, and nodes
+    of one colour have equal degrees.  Where the sizes or the colour
+    multisets differ, no map exists and none is produced.  Nodes are mapped
+    in the connectivity-first order of ``_search_order``, each to the unused
+    nodes of its colour in ascending order, so the results come in a fixed
+    order.  Self-loops are never checked directly: every other edge is, so
+    a degree-preserving map carries loops onto loops.
 
     A caller may ``send`` a depth d back for a leaf: the search then cuts
     back to depth d, keeping the images of the first d nodes of the order
     and trying the next image for node d, so no further leaf of the
-    current subtree at depth d is produced.  ``_search_with_order`` also
-    gives the order, from which such a caller picks d.
-    """
-    return _search_with_order(ch1, colors1, ch2, colors2)[0]
-
-
-def _search_with_order(ch1, colors1, ch2, colors2, orbit=None):
-    """``isomorphisms``' generator and the order in which it maps the nodes
-    of graph 1.
-
-    An automorphism search (``ch2 is ch1``) may pass ``orbit``, an orbit id
-    per node that the caller updates as leaves come back.  While the first
-    d nodes of the order are mapped to themselves, node d then tries itself
+    current subtree at depth d is produced.  The caller picks d from the
+    order.  An automorphism search may also pass ``orbit``, an orbit id per
+    node that the caller updates as leaves come back.  While the first d
+    nodes of the order are mapped to themselves, node d then tries itself
     first and skips the rest of its orbit.
     """
     n = len(ch1)
+    same = ch2 is ch1 and root2 == root1  # an automorphism search
+    off = 0 if same else n  # graph 2's node ids in the graph coloured
+    graph = ch1 if same else [*ch1, *[frozenset(map(off.__add__, kids)) for kids in ch2]]
+    init = [0] * len(graph)
+    init[root1] = init[off + root2] = 1  # every map sought sends root1 to root2
+    colors = _refine(graph, init, counting=True, parents_too=True)
+    colors1, colors2 = colors[:n], colors[off:]
+    if not same and sorted(colors1) != sorted(colors2):  # so also where sizes differ
+        return iter(()), []
     par1 = _parent_sets(ch1)
     par2 = par1 if ch2 is ch1 else _parent_sets(ch2)
     by_color: dict[int, list[int]] = {}
-    for w in range(len(ch2)):
+    for w in range(n):
         by_color.setdefault(colors2[w], []).append(w)
-    # Class sizes are read in graph 2: where they differ, no map exists.
-    order = _search_order(
-        ch1, par1, [len(by_color.get(colors1[u], ())) for u in range(n)]
-    )
+    order = _search_order(ch1, par1, [len(by_color[colors1[u]]) for u in range(n)])
 
     def leaves() -> Iterator[tuple[int, ...]]:
-        if n != len(ch2):
-            return
-        if n == 0:
-            yield ()
-            return
         fwd = [-1] * n
         rev = [-1] * n
 
@@ -458,7 +449,7 @@ def _search_with_order(ch1, colors1, ch2, colors2, orbit=None):
 
         def candidates(k: int) -> Iterator[int]:
             u = order[k]
-            ws = by_color.get(colors1[u], ())
+            ws = by_color[colors1[u]]
             if orbit is None:
                 return iter(ws)
             fixed[k] = not k or fixed[k - 1] and fwd[order[k - 1]] == order[k - 1]
@@ -517,13 +508,7 @@ def _pointed_iso(ch1, root1: int, ch2, root2: int) -> Optional[tuple[int, ...]]:
     graphs, the search's first map."""
     if root1 == root2 and ch1 == ch2:
         return tuple(range(len(ch1)))
-    # Joint refinement over the disjoint union; both roots share a seed colour.
-    n = len(ch1)
-    init = [0] * (2 * n)
-    init[root1] = init[root2 + n] = 1
-    colors = _stable_colors([*ch1, *[frozenset(map(n.__add__, kids)) for kids in ch2]], init)
-    c1, c2 = colors[:n], colors[n:]
-    return next(isomorphisms(ch1, c1, ch2, c2), None) if sorted(c1) == sorted(c2) else None
+    return next(_search(ch1, root1, ch2, root2)[0], None)
 
 
 def _iso_classes(graphs, found=None) -> list[int]:

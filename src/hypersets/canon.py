@@ -26,8 +26,7 @@ from .apg import (
     _quotient,
     _reach,
     _refine,
-    _search_with_order,
-    _stable_colors,
+    _search,
 )
 from .equivalence import _finsler_classes
 from .errors import SizeLimitExceeded
@@ -283,15 +282,11 @@ def is_rigid(g: Apg, cap: int = DEFAULT_ISO_CAP) -> bool:
 
 
 def _automorphism_search(g: Apg, cap: int, orbit=None):
-    """The one search over the automorphisms of g, from colours that fix
-    the root, and the order in which it maps the nodes (the chain's base).
-    ``orbit`` prunes the search as in ``apg._search_with_order``."""
+    """``apg._search`` over the automorphisms of g, pruned by ``orbit``, and
+    the order in which it maps the nodes (the chain's base)."""
     if g.node_count > cap:
         raise SizeLimitExceeded(f"automorphism search capped at {cap} nodes")
-    init = [0] * g.node_count
-    init[g.root] = 1  # the root is fixed by every automorphism
-    colors = _stable_colors(g.children, init)
-    return _search_with_order(g.children, colors, g.children, colors, orbit)
+    return _search(g.children, g.root, g.children, g.root, orbit)
 
 
 def to_dot(g: Apg, name: str = "hyperset") -> str:

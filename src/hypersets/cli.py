@@ -395,16 +395,16 @@ def cmd_repl(args) -> int:
             else:
                 name = operands[0]
                 sol = solve_names(operands[:1])
-                pic = sol.picture(name)
                 if directive == ":canon":
                     out.write(sol.text(name))
                 elif directive == ":aut":
-                    out.write(f"order {automorphisms(pic, cap=cap).order}\n")
+                    out.write(f"order {automorphisms(sol.picture(name), cap=cap).order}\n")
                 elif directive == ":rigid":
-                    out.write(("rigid" if is_rigid(pic, cap=cap) else "not rigid") + "\n")
+                    rigid = is_rigid(sol.picture(name), cap=cap)
+                    out.write(("rigid" if rigid else "not rigid") + "\n")
                 else:
                     with open(operands[1], "w", encoding="utf-8") as fh:
-                        fh.write(to_dot(pic, name=name))
+                        fh.write(to_dot(sol.picture(name), name=name))
                     out.write(f"wrote {operands[1]}\n")
         except BrokenPipeError:
             raise  # a closed stdout ends the session

@@ -101,9 +101,8 @@ def build_universe(
 
 @dataclass
 class ExtendedMap:
-    """An atom map together with its levelwise extension."""
+    """An atom map's levelwise extension."""
 
-    atom_map: dict[int, int]
     full_map: dict[int, int]
     source: LevelledUniverse
     target: LevelledUniverse
@@ -133,7 +132,7 @@ def extend_map(
                 continue
             image = frozenset(full[m] for m in u.members[c])
             full[c] = target.intern[image]
-    return ExtendedMap(dict(sigma), full, u, target)
+    return ExtendedMap(full, u, target)
 
 
 @dataclass
@@ -206,8 +205,8 @@ class StructureAutomorphisms:
 
     ``group`` is the automorphism group of the picture searched: a fresh
     root 0 over the top level, with node i + 1 for ``codes[i]``, the i-th
-    smallest code.  ``count`` and ``generators`` come from its stabilizer
-    chain; ``elements`` lists every map, in order of the codes of their
+    smallest code.  ``count`` comes from its stabilizer chain;
+    ``elements`` lists every map, in order of the codes of their
     images, and is built only when first read.
     """
 
@@ -218,17 +217,12 @@ class StructureAutomorphisms:
     def count(self) -> int:
         return self.group.order
 
-    @property
-    def generators(self) -> list[dict[int, int]]:
-        return [self._as_map(p) for p in self.group.generators]
-
     @cached_property
     def elements(self) -> list[dict[int, int]]:
-        return [self._as_map(p) for p in self.group.elements]
-
-    def _as_map(self, p: tuple[int, ...]) -> dict[int, int]:
         codes = self.codes
-        return {c: codes[p[i] - 1] for i, c in enumerate(codes, 1)}
+        return [
+            {c: codes[p[i] - 1] for i, c in enumerate(codes, 1)} for p in self.group.elements
+        ]
 
 
 def check_automorphism_cap(top_size: int, cap: int = DEFAULT_ISO_CAP) -> None:

@@ -461,12 +461,9 @@ def exhaustive_automorphisms(g: Apg) -> list[tuple[int, ...]]:
     """The root-preserving automorphisms of g as ``canon.automorphisms``
     listed them before it read a stabilizer chain: every leaf of the one
     search, sorted.  Its cost grows with the group's order."""
-    from hypersets.apg import _stable_colors, isomorphisms
+    from hypersets.apg import _search
 
-    init = [0] * g.node_count
-    init[g.root] = 1
-    colors = _stable_colors(g.children, init)
-    return sorted(isomorphisms(g.children, colors, g.children, colors))
+    return sorted(_search(g.children, g.root, g.children, g.root)[0])
 
 
 def assert_irredundant_generators(gens, elements, n: int) -> None:

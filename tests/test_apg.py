@@ -115,6 +115,14 @@ class TestPointedIsomorphic:
         g2 = Apg((fs([1]), fs([0])), 1)
         assert pointed_isomorphic(g1, g2) is not None
 
+    def test_one_child_tuple_under_two_roots(self):
+        # The search colours one graph alone only for one graph under one
+        # root; the same child sets under another root are a second graph.
+        ch = (fs([1]), fs([0, 1]))
+        assert pointed_isomorphic(Apg(ch, 0), Apg(ch, 1)) is None
+        ring = (fs([1]), fs([2]), fs([0]))
+        assert pointed_isomorphic(Apg(ring, 0), Apg(ring, 1)) == {0: 1, 1: 2, 2: 0}
+
     def test_cap(self):
         g = Apg((fs([0]),), 0)
         with pytest.raises(SizeLimitExceeded):

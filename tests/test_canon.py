@@ -6,7 +6,7 @@ import time
 import pytest
 
 from hypersets import canon
-from hypersets.apg import Apg, DEFAULT_ISO_CAP, _stable_colors, pointed_isomorphic, quotient, trim_to_accessible
+from hypersets.apg import Apg, DEFAULT_ISO_CAP, _refine, pointed_isomorphic, quotient, trim_to_accessible
 from hypersets.canon import (
     Semantics,
     _automorphism_search,
@@ -23,6 +23,7 @@ from hypersets.equivalence import counting_partition, finsler_partition, max_bis
 from hypersets.boffa import Universe
 from hypersets.errors import SizeLimitExceeded
 from hypersets.grouplab import PRESET_NAMES, build_A_G, preset_group
+from hypersets.hsl import flatten_into, parse
 from hypersets.wflab import all_automorphisms, build_universe
 from hypersets.random_graphs import random_apg, random_performance_graph
 
@@ -38,6 +39,7 @@ from oracles import (
     reference_is_canonical_picture,
     safa_equal_by_unfolding,
 )
+from test_solve import paley_program
 
 fs = frozenset
 
@@ -597,7 +599,8 @@ class TestAutomorphisms:
             assert group.order == len(perms), g.children
             assert group.elements == tuple(perms), g.children
             assert_irredundant_generators(group.generators, group.elements, g.node_count)
-            colors = _stable_colors(g.children, [int(u == g.root) for u in range(g.node_count)])
+            init = [int(u == g.root) for u in range(g.node_count)]
+            colors = _refine(g.children, init, counting=True, parents_too=True)
             least = {}
             for u in range(g.node_count):
                 least.setdefault(colors[u], u)
@@ -679,6 +682,18 @@ class TestAutomorphisms:
         assert pointed_isomorphic(g, relabelled(rng, g), cap=n) is not None
         assert automorphisms(g, cap=n).order == 1
         assert is_rigid(g, cap=n)
+
+    @pytest.mark.parametrize("q", [13, 29, 53])
+    def test_paley_graph_that_refinement_cannot_split(self, q):
+        # The Paley graph is strongly regular: colour refinement leaves its
+        # q vertices in one class, and the search alone finds the group of
+        # the maps x -> a x + b with a a nonzero square, of order q(q-1)/2.
+        u = Universe()
+        g = u.picture_of(flatten_into(parse(paley_program(q)), u)["r"])
+        init = [int(v == g.root) for v in range(g.node_count)]
+        assert len(set(_refine(g.children, init, counting=True, parents_too=True))) == 2
+        assert automorphisms(g).order == q * (q - 1) // 2
+        assert not is_rigid(g)
 
 
 class TestDot:

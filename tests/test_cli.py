@@ -779,6 +779,26 @@ class TestRepl:
         )
         assert out.startswith("error: ") and out.endswith("x0 = {x0};\n")
 
+    @pytest.mark.parametrize("mode", ["afa", "safa", "fafa", "boffa"])
+    def test_only_picture_readers_build_the_picture(self, capsys, monkeypatch, tmp_path, mode):
+        # :canon prints from the solution's member sets; only :aut, :rigid
+        # and :picture read an Apg picture, once each.  Counted, not timed.
+        calls = []
+        picture = cli._Solution.picture
+
+        def counted(sol, name):
+            calls.append(name)
+            return picture(sol, name)
+
+        monkeypatch.setattr(cli._Solution, "picture", counted)
+        program = "x = {x, {}};\n"
+        out = self.run_script(capsys, monkeypatch, program + ":canon x\n:quit\n", mode)
+        assert "error" not in out and calls == []
+        dot = tmp_path / "x.dot"
+        out = self.run_script(capsys, monkeypatch, program + f":aut x\n:rigid x\n:picture x {dot}\n", mode)
+        assert out.splitlines() == ["order 1", "rigid", f"wrote {dot}"]
+        assert calls == ["x"] * 3
+
     def test_unknown_directive(self, capsys, monkeypatch):
         out = self.run_script(capsys, monkeypatch, ":eqq x y\n:quit\n")
         assert out == "unknown directive :eqq\n"

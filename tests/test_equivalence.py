@@ -6,7 +6,7 @@ import pytest
 from hypersets.apg import (
     Apg,
     Partition,
-    _stable_colors,
+    _refine,
     pointed_isomorphic,
     quotient,
     trim_to_accessible,
@@ -98,7 +98,7 @@ class TestRefinementEngine:
             root_marked[g.root] = 1
             for init in (root_marked, [0] * g.node_count):
                 assert Partition.from_class_of(
-                    _stable_colors(g.children, init)
+                    _refine(g.children, init, counting=True, parents_too=True)
                 ) == Partition.from_class_of(naive_stable_colors(g.children, init))
 
     def test_chain_is_not_quadratic(self):

@@ -293,7 +293,7 @@ def test_pure_solve_settles_once(monkeypatch, ring_path, mode):
     counts: dict[str, int] = {}
     count_calls(monkeypatch, [(canon, "_settle"), (apg, "trim_to_accessible"),
                               (canon, "canonicalize"), (apg, "_pointed_iso"),
-                              (apg, "isomorphisms")], counts)
+                              (apg, "_search")], counts)
     sink = ByteCount()
     monkeypatch.setattr("sys.stdout", sink)
     assert main(["solve", ring_path, "--mode", mode, "--cap", str(RING)]) == 0
@@ -301,7 +301,7 @@ def test_pure_solve_settles_once(monkeypatch, ring_path, mode):
     assert counts["trim_to_accessible"] <= 1
     assert counts["canonicalize"] == 0
     assert counts["_pointed_iso"] == (mode == "fafa")
-    assert counts["isomorphisms"] == 0
+    assert counts["_search"] == 0
     assert sink.lines == ring_lines(RING)
     assert sink.tail.endswith(f"equal r{RING - 2} r{RING - 1}\n")
 

@@ -164,7 +164,7 @@ class TestClassifyMap:
             u = build_universe(a, levels)
             target = build_universe(rng.randint(a, 2), levels)
             full = {x: rng.choice(target.top) for x in u.top}
-            m = ExtendedMap({}, full, u, target)
+            m = ExtendedMap(full, u, target)
             rep = classify_map(u, m)
             assert rep.membership_exact == pairwise_membership_exact(u, m)
             assert rep.injective == (len(set(full.values())) == len(full))
@@ -179,7 +179,7 @@ class TestClassifyMap:
             {**ident, empty: a0},                 # two elements onto a0
             {**ident, empty: a0, a0: empty},      # a bijection, not an embedding
         ):
-            m = ExtendedMap({}, full, u, u)
+            m = ExtendedMap(full, u, u)
             rep = classify_map(u, m)
             assert not rep.membership_exact
             assert rep.membership_exact == pairwise_membership_exact(u, m)
@@ -199,7 +199,7 @@ class TestClassifyMap:
         )
         target = build_universe(0, 2)
         empty = target.intern[frozenset()]
-        m = ExtendedMap({}, {1: empty, 2: empty, 3: target.intern[frozenset({empty})]}, u, target)
+        m = ExtendedMap({1: empty, 2: empty, 3: target.intern[frozenset({empty})]}, u, target)
         rep = classify_map(u, m)
         assert pairwise_membership_exact(u, m)
         assert rep.membership_exact and not rep.injective
