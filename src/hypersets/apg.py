@@ -59,7 +59,7 @@ class Partition:
     class_count: int
 
     def __post_init__(self):
-        if self.class_count and set(self.class_of) != set(range(self.class_count)):
+        if set(self.class_of) != set(range(self.class_count)):
             raise ValueError("class ids must be contiguous naturals from 0")
 
     @classmethod
@@ -226,24 +226,20 @@ def _quotient(children, root, block_of, block_count):
     """``quotient`` on bare child sets, for block ids 0..block_count-1 in
     any order: the quotient's child sets (its root is 0) and the projection
     of each node onto its block's new id.  Nothing is validated."""
-    n = len(children)
-    block_children: list[set[int]] = [set() for _ in range(block_count)]
-    block_min = [n] * block_count
-    for u, kids in enumerate(children):
-        b = block_of[u]
-        if block_min[b] == n:  # u ascends, so its first member is its smallest
-            block_min[b] = u
-        block_children[b].update([block_of[v] for v in kids])
-
-    order = _bfs(
-        block_of[root],
-        [sorted(kids, key=block_min.__getitem__) for kids in block_children],
-    )
+    # Rank the blocks by their smallest member, so the walk sorts plain ints.
+    table: dict = {}
+    rank_of = [table.setdefault(b, len(table)) for b in block_of]
+    rank_children: list[set[int]] = [set() for _ in range(block_count)]
+    rank = rank_of.__getitem__
+    for r, kids in zip(rank_of, children):
+        rank_children[r].update(map(rank, kids))
+    order = _bfs(rank_of[root], [sorted(kids) for kids in rank_children])
     new_id = [0] * block_count
-    for i, b in enumerate(order):
-        new_id[b] = i
-    quot = tuple(frozenset([new_id[d] for d in block_children[b]]) for b in order)
-    return quot, tuple([new_id[b] for b in block_of])
+    for i, r in enumerate(order):
+        new_id[r] = i
+    new_of = new_id.__getitem__
+    quot = tuple([frozenset(map(new_of, rank_children[r])) for r in order])
+    return quot, tuple(map(new_of, rank_of))
 
 
 # --- isomorphism machinery -------------------------------------------------
@@ -270,16 +266,22 @@ def _refine(children, init=None, counting=False, parents_too=False) -> list[int]
     the smaller B of its last two blocks, and every block is split by its
     members' count into B (counting rule) or by whether they also have a
     child in S - B (AFA rule).  B is at most half of S, so O(m log n).
+
+    The first keys come from out-degrees, with ``parents_too`` in-degrees
+    too, so a graph they leave in one block or in singletons returns before
+    any adjacency is built.  Each block is a member list and a size: a
+    split hands the nodes it moves over as the new block's list and only
+    lowers the old block's size, and the old list drops its moved nodes
+    (those whose block id changed) when the block next serves as a
+    splitter.  So no split builds or shrinks a set.
     """
     n = len(children)
-    parents = _parent_sets(children)
-    weight = [len(kids) for kids in children]
-    # (adj, w): each v in B adds w to the count of every u in adj[v].
-    # Parent edges weigh n + 1, so one count carries both directions.
-    sources = [(parents, 1)]
-    if parents_too:
-        sources.append((children, n + 1))
-        weight = [w + (n + 1) * len(ps) for w, ps in zip(weight, parents)]
+    weight = list(map(len, children))
+    if parents_too:  # parent edges weigh n + 1, so one count carries both
+        indegree = [0] * n
+        for v in itertools.chain.from_iterable(children):
+            indegree[v] += 1
+        weight = [w + (n + 1) * d for w, d in zip(weight, indegree)]
     keys = weight if counting else [w > 0 for w in weight]
     table: dict = {}
     block_of = [
@@ -288,9 +290,13 @@ def _refine(children, init=None, counting=False, parents_too=False) -> list[int]
     ]
     if len(table) < 2 or len(table) == n:
         return block_of
-    blocks: list[set[int]] = [set() for _ in table]
-    for u, b in enumerate(block_of):
-        blocks[b].add(u)
+    parents: list[list[int]] = [[] for _ in children]
+    blocks: list[list[int]] = [[] for _ in table]
+    for u, kids in enumerate(children):
+        blocks[block_of[u]].append(u)
+        for v in kids:
+            parents[v].append(u)
+    size = list(map(len, blocks))
 
     xmembers = [list(range(len(blocks)))]  # compound block -> its blocks
     xblock_of = [0] * len(blocks)
@@ -302,41 +308,51 @@ def _refine(children, init=None, counting=False, parents_too=False) -> list[int]
         s = worklist.pop()
         members = xmembers[s]
         b = members.pop()
-        if len(blocks[b]) > len(blocks[members[-1]]):
+        if size[b] > size[members[-1]]:
             b, members[-1] = members[-1], b
         if len(members) > 1:
             worklist.append(s)
         xblock_of[b] = len(xmembers)
         xmembers.append([b])
 
+        splitter = blocks[b]
+        if len(splitter) != size[b]:
+            splitter = blocks[b] = [v for v in splitter if block_of[v] == b]
         touched = []
-        for adj, w in sources:
-            for v in blocks[b]:
-                for u in adj[v]:
+        for v in splitter:
+            for u in parents[v]:
+                if not cb[u]:
+                    touched.append(u)
+                cb[u] += 1
+        if parents_too:
+            for v in splitter:
+                for u in children[v]:
                     if not cb[u]:
                         touched.append(u)
-                    cb[u] += w
-        groups: dict[tuple, list[int]] = {}
+                    cb[u] += n + 1
+        groups: dict[int, list[int]] = {}  # one int key per (block, count or flag)
         if counting:
             for u in touched:
-                groups.setdefault((block_of[u], cb[u]), []).append(u)
+                groups.setdefault(cb[u] * n + block_of[u], []).append(u)
                 cb[u] = 0
         else:
-            cs = xcount[s]
-            xcount.append({u: cb[u] for u in touched})
+            cs, counts = xcount[s], {}
+            xcount.append(counts)
             for u in touched:
-                cs[u] -= cb[u]  # now the count into S - B
-                groups.setdefault((block_of[u], cs[u] > 0), []).append(u)
+                counts[u] = c = cb[u]
+                cs[u] -= c  # now the count into S - B
+                groups.setdefault(2 * block_of[u] + (cs[u] > 0), []).append(u)
                 cb[u] = 0
 
         # Move each group out of its block unless it is all that is left.
-        for (d, _), us in groups.items():
-            dblock = blocks[d]
-            if len(us) == len(dblock):
+        for us in groups.values():
+            d = block_of[us[0]]
+            if len(us) == size[d]:
                 continue
             nb = len(blocks)
-            blocks.append(set(us))
-            dblock.difference_update(us)
+            blocks.append(us)
+            size.append(len(us))
+            size[d] -= len(us)
             for u in us:
                 block_of[u] = nb
             h = xblock_of[d]

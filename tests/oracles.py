@@ -90,6 +90,28 @@ def naive_stable_colors(children, init: list[int]) -> list[int]:
         colors, ncolors = nxt, len(table)
 
 
+def reference_quotient(g: Apg, p: Partition) -> tuple[Apg, tuple[int, ...]]:
+    """The quotient as ``quotient``'s docstring states it: each class one
+    node whose children are the classes of its members' children, numbered
+    breadth-first from the root's class, child classes visited in ascending
+    order of their smallest member."""
+    members: dict[int, list[int]] = {}
+    for u, c in enumerate(p.class_of):
+        members.setdefault(c, []).append(u)
+    kids = {c: {p.class_of[v] for u in us for v in g.children[u]} for c, us in members.items()}
+    new_id = {p.class_of[g.root]: 0}
+    queue = [p.class_of[g.root]]
+    for c in queue:
+        for d in sorted(kids[c], key=lambda d: min(members[d])):
+            if d not in new_id:
+                new_id[d] = len(new_id)
+                queue.append(d)
+    children = [frozenset()] * len(new_id)
+    for c, i in new_id.items():
+        children[i] = frozenset(new_id[d] for d in kids[c])
+    return Apg(tuple(children), 0), tuple(new_id[c] for c in p.class_of)
+
+
 def brute_force_pointed_iso(g1: Apg, g2: Apg) -> bool:
     """Exhaustive bijection search; only sensible for <= 7 nodes."""
     n = g1.node_count

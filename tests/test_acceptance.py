@@ -197,7 +197,15 @@ def test_criterion_9_bisimulation_performance():
         start = time.perf_counter()
         p = max_bisimulation(g)
         elapsed = min(elapsed, time.perf_counter() - start)
-    assert p.class_count > 0
+    # Outside the timed loop: the partition is stable (all members of a
+    # block have the same set of child blocks), and it has the coarsest
+    # stable partition's class count, which stability alone would not pin:
+    # the discrete partition is stable too.
+    child_blocks: dict[int, frozenset] = {}
+    for u, kids in enumerate(g.children):
+        mine = frozenset([p.class_of[v] for v in kids])
+        assert child_blocks.setdefault(p.class_of[u], mine) == mine
+    assert p.class_count == 90150
     assert elapsed < 5.0, f"bisimulation took {elapsed:.2f}s"
     print(f"PASS criterion 9: 10^5 nodes / 3*10^5 edges in {elapsed:.2f}s (< 5s)")
 

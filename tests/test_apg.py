@@ -15,7 +15,7 @@ from hypersets.apg import (
 from hypersets.errors import NotWellFounded, SizeLimitExceeded
 from hypersets.random_graphs import random_apg
 
-from oracles import brute_force_pointed_iso
+from oracles import brute_force_pointed_iso, reference_quotient
 
 fs = frozenset
 
@@ -177,6 +177,26 @@ class TestQuotient:
         assert q.children[proj[0]] == fs([proj[1]])
         assert q.children[proj[1]] == fs([proj[1]])
 
+    def test_numbering_matches_reference(self):
+        # Breadth-first from the root class, child classes by smallest
+        # member: under arbitrary partitions and under each mode's, with
+        # their class ids shuffled, so that no id order equals that one.
+        from hypersets.equivalence import counting_partition, finsler_partition, max_bisimulation
+
+        rng = random.Random(27)
+        for i in range(1200):
+            g = random_apg(rng, 12)
+            n = g.node_count
+            k = rng.randint(1, n)
+            arbitrary = Partition.from_class_of(rng.randrange(k) for _ in range(n))
+            mode = (max_bisimulation, counting_partition, finsler_partition)[i % 3](g)
+            for p in (arbitrary, mode):
+                ids = rng.sample(range(p.class_count), p.class_count)
+                part = Partition(tuple(ids[c] for c in p.class_of), p.class_count)
+                q, proj = quotient(g, part)
+                ref_q, ref_proj = reference_quotient(g, part)
+                assert q.children == ref_q.children and proj == ref_proj
+
     def test_projection_satisfies_decoration_equation(self):
         rng = random.Random(31)
         from hypersets.equivalence import max_bisimulation
@@ -190,6 +210,14 @@ class TestQuotient:
 
 
 class TestValidation:
+    def test_partition_ids_must_be_the_class_range(self):
+        # class_count 0 admits only the empty partition
+        for class_of, count in (((0, 0), 0), ((0,), 0), ((1,), 1), ((0, 2), 2), ((0,), 2)):
+            with pytest.raises(ValueError):
+                Partition(class_of, count)
+        assert Partition((), 0) == Partition.single(0) == Partition.discrete(0)
+        assert Partition((), 0).classes() == []
+
     def test_rejects_unreachable(self):
         with pytest.raises(ValueError):
             Apg((fs(), fs()), 0)

@@ -88,18 +88,67 @@ class TestCountingPartition:
                         assert sig[u] == sig[v]
 
 
+def refinement_shapes(rng: random.Random, count: int):
+    """Seeded graphs for the refinement engine.  Two in six are random
+    graphs; the rest are shapes whose big blocks lose members many times,
+    each with up to three random edges added and its ids shuffled: a root
+    over a graph and a relabelled copy, crowns (a root over a ring), blocks
+    of Quine atoms under one root, and rings of rings."""
+    for i in range(count):
+        kind = i % 6
+        if kind < 2:
+            yield (random_apg if kind else random_well_founded_apg)(rng, 14)
+            continue
+        if kind == 2:
+            h = random_apg(rng, 10)
+            k = h.node_count
+            perm = rng.sample(range(k), k)
+            kids = {0: [1 + h.root, 1 + k + perm[h.root]]}
+            for u, vs in enumerate(h.children):
+                kids[1 + u] = [1 + v for v in vs]
+                kids[1 + k + perm[u]] = [1 + k + perm[v] for v in vs]
+        elif kind == 3:
+            k = rng.randint(2, 20)
+            kids = {0: list(range(1, k + 1))}
+            kids.update({u: [u % k + 1] for u in range(1, k + 1)})
+        elif kind == 4:
+            k, m = rng.randint(1, 4), rng.randint(1, 5)
+            kids = {0: list(range(1, k + 1))}
+            for b in range(k):
+                atoms = range(1 + k + b * m, 1 + k + (b + 1) * m)
+                kids[1 + b] = list(atoms)
+                kids.update({a: [a] for a in atoms})
+        else:
+            k, m = rng.randint(1, 5), rng.randint(1, 4)
+            kids = {0: list(range(1, k + 1))}
+            for b in range(k):
+                ring = [1 + k + b * m + j for j in range(m)]
+                kids[1 + b] = [(b + 1) % k + 1, ring[0]]
+                kids.update({v: [ring[(j + 1) % m]] for j, v in enumerate(ring)})
+        n = len(kids)
+        for _ in range(rng.randint(0, 3)):
+            kids[rng.randrange(n)].append(rng.randrange(n))
+        perm = rng.sample(range(n), n)
+        children = [fs()] * n
+        for u, vs in kids.items():
+            children[perm[u]] = fs(perm[v] for v in vs)
+        yield Apg(tuple(children), perm[0])
+
+
 class TestRefinementEngine:
     def test_matches_signature_oracles(self):
-        rng = random.Random(2026)
-        for i in range(2000):
-            g = (random_apg if i % 2 else random_well_founded_apg)(rng, 14)
-            assert counting_partition(g) == naive_counting_partition(g)
-            root_marked = [0] * g.node_count
+        # Every rule the package calls: AFA, counting, and counting with
+        # parents from a root-marked and from an all-zero colouring.
+        for g in refinement_shapes(random.Random(2026), 3000):
+            ch, n = g.children, g.node_count
+            assert Partition.from_class_of(_refine(ch)) == naive_bisimulation(g)
+            assert Partition.from_class_of(_refine(ch, counting=True)) == naive_counting_partition(g)
+            root_marked = [0] * n
             root_marked[g.root] = 1
-            for init in (root_marked, [0] * g.node_count):
+            for init in (root_marked, [0] * n):
                 assert Partition.from_class_of(
-                    _refine(g.children, init, counting=True, parents_too=True)
-                ) == Partition.from_class_of(naive_stable_colors(g.children, init))
+                    _refine(ch, init, counting=True, parents_too=True)
+                ) == Partition.from_class_of(naive_stable_colors(ch, init))
 
     def test_chain_is_not_quadratic(self):
         # A chain needs one signature round per level; the worklist does not.
