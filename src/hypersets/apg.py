@@ -461,7 +461,9 @@ def _search(ch1, root1: int, ch2, root2: int, orbit=None):
                     return False
             return True
 
-        fixed = [True] * n  # fixed[k]: the first k nodes are mapped to themselves
+        # fixed[k], kept with orbit: the first k nodes are mapped to themselves,
+        # so node k -> itself keeps every mapped edge and needs no check.
+        fixed = [False] * n
 
         def candidates(k: int) -> Iterator[int]:
             u = order[k]
@@ -477,12 +479,13 @@ def _search(ch1, root1: int, ch2, root2: int, orbit=None):
         # mapped node, so the depth is not bounded by Python's recursion limit.
         stack = [candidates(0)]
         while stack:
-            u = order[len(stack) - 1]
+            k = len(stack) - 1
+            u = order[k]
             if fwd[u] >= 0:  # undo this depth's previous choice
                 rev[fwd[u]] = -1
                 fwd[u] = -1
             for w in stack[-1]:
-                if rev[w] < 0 and consistent(u, w):
+                if rev[w] < 0 and (w == u and fixed[k] or consistent(u, w)):
                     fwd[u], rev[w] = w, u
                     break
             else:

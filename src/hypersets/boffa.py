@@ -211,9 +211,9 @@ def _topo_order(keys: list, children: Mapping, ill: set) -> list:
     already-resolved nodes are treated as leaves).  Children are visited in
     ``_stable_key`` order, so the order does not depend on string hashing."""
     wf = [k for k in keys if k not in ill]
-    wf_set = set(wf)
+    rank = {k: _stable_key(k) for k in wf}
     return _postorder(wf, {
-        k: sorted((c for c in children[k] if c in wf_set), key=_stable_key) for k in wf
+        k: sorted([c for c in children[k] if c in rank], key=rank.__getitem__) for k in wf
     })
 
 

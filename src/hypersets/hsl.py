@@ -231,6 +231,7 @@ class _GraphBuilder:
         self.edges = 0  # edges emitted so far, held to FLATTEN_EDGE_BUDGET
         self.alias: dict[str, object] = dict(old_names or {})  # name -> key or ("name", name)
         self.named: list[list] = []  # the child lists that hold a ("name", name)
+        self.nums: list = []  # nums[i]: the key of numeral i, shared by every literal
         bound: set[str] = set()
         for stmt in program.statements:
             if stmt.name in bound:
@@ -290,16 +291,21 @@ class _GraphBuilder:
         return keys[0]
 
     def _pair(self, a, b):
-        """Kuratowski pair {{a}, {a, b}}; collapses to {{a}} when a is b."""
+        """Kuratowski pair {{a}, {a, b}}; collapses to {{a}} when a and b are
+        one name.  Two numeral literals keep the full layout, so that keys
+        and edge counts do not depend on the numerals sharing one chain."""
         w1 = self._fresh("set")
         p = self._fresh("set")
         self._set(w1, [a])
-        if a == b:
+        if a == b and a[0] == "name":
             return self._set(p, [w1])
         return self._set(p, [w1, self._set(self._fresh("set"), [a, b])])
 
     def _numeral(self, k: int):
-        # The one construct that grows faster than the program text.
+        # The one construct that grows faster than the program text.  Every
+        # literal k names one set, so the program's numerals share one chain,
+        # extended past the largest value so far with this occurrence's keys.
+        # Serials and the budget still count a whole chain per occurrence.
         self.edges += k * (k + 1) // 2
         if self.edges > FLATTEN_EDGE_BUDGET:
             raise SizeLimitExceeded(
@@ -307,10 +313,11 @@ class _GraphBuilder:
             )
         base = self.serial + 1
         self.serial += k + 1
-        nodes = [("num", base, i) for i in range(k + 1)]
-        for i, node in enumerate(nodes):
-            self.children[node] = nodes[:i]
-        return nodes[-1]
+        nums = self.nums
+        for i in range(len(nums), k + 1):
+            nums.append(("num", base, i))
+            self.children[nums[i]] = nums[:i]
+        return nums[k]
 
     def _resolve_aliases(self):
         """``node_of``: each name's node key, found by following its alias
@@ -487,7 +494,9 @@ def unparse(g: Apg) -> str:
 
     Numerals and pairs are printed in sugared form when the sugar is safe:
     the desugared interior nodes must be private to the construct, so that
-    re-flattening yields an isomorphic graph.  Numerals win over pairs.
+    re-flattening yields an isomorphic graph.  Numerals win over pairs.  A
+    program's numeral literals share one chain, so at most one numeral is
+    sugared: the first in order whose interior is private.
     """
     return _printer(dict(enumerate(g.children)))(_bfs(g.root, [sorted(k) for k in g.children]))
 
@@ -516,7 +525,7 @@ def _printer(members: dict):
         skip, sugar = set(), {}
         for u in order:
             k = num_val[u]
-            if k is None or u in skip:  # inside a numeral already sugared
+            if k is None:
                 continue
             if u not in numeral:
                 numeral[u] = _numeral_interior(members, u, k)
@@ -529,6 +538,7 @@ def _printer(members: dict):
                     continue
                 skip.update(inner)
             sugar[u] = str(k)
+            break
         for u in order:
             if pair[u] is None or u in sugar or u in skip:
                 continue

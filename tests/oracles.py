@@ -660,9 +660,9 @@ def reference_unparse(g: Apg) -> str:
     skip: set[int] = set()
     sugar: dict[int, object] = {}
 
-    for u in order:
+    for u in order:  # at most one numeral: a program's numerals share one chain
         k = num_val[u]
-        if k is None or u in skip:  # inside a numeral already sugared
+        if k is None:
             continue
         # u and its k children already make k + 1 nodes
         reach = _reference_reach(g, u, k + 1)
@@ -675,6 +675,7 @@ def reference_unparse(g: Apg) -> str:
             continue
         sugar[u] = str(k)
         skip |= interior
+        break
 
     for u in order:
         if u in sugar or u in skip:

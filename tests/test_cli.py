@@ -376,7 +376,8 @@ class TestBoundedInputs:
         code = main(["solve", program("x = 100000;")])
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_CAP
-        assert "size cap" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "size cap: numeral 100000 takes the desugared graph past 1000000 edges\n")
 
 
 class TestWf:

@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersets.apg import is_well_founded, pointed_isomorphic, rank_map
+from hypersets.apg import Apg, is_well_founded, pointed_isomorphic, rank_map
 from hypersets.boffa import Universe
 from hypersets.canon import Semantics, equal, is_rigid
 from hypersets.errors import (
@@ -208,6 +208,11 @@ class TestFlatten:
             assert is_well_founded(g)
             assert is_rigid(g)
 
+    def test_numerals_share_one_chain(self):
+        # 0..3 once, where a chain per literal would hold 3 + 4 + 4 + 2 + 1 keys
+        children, _ = hsl._pure_graph(parse("x = {2, 3}; y = 3; z = <1, 0>;"))
+        assert sum(k[0] == "num" for k in children) == 4
+
     def test_edge_budget_counts_the_whole_program(self, monkeypatch):
         # numeral 3 has 6 edges, the set {a} 1
         monkeypatch.setattr(hsl, "FLATTEN_EDGE_BUDGET", 12)
@@ -281,6 +286,39 @@ class TestFlattenIntoBoffa:
         ids = flatten_into(parse("x = {x}; y = {y};"), u)
         assert ids["x"] != ids["y"]
 
+    def test_repeated_numeral_needs_no_merge(self, monkeypatch):
+        merged = []
+        merge = hsl._merge_duplicates
+
+        def counted(children):
+            rep = merge(children)
+            merged.extend(k for k, r in rep.items() if r != k)
+            return rep
+
+        monkeypatch.setattr(hsl, "_merge_duplicates", counted)
+        ids = flatten_into(parse("x = 300; y = 300;"), Universe())
+        assert merged == [] and ids["x"] == ids["y"]
+
+    def test_set_ids_pinned(self):
+        """Numerals growing and repeated, sets, pairs, atoms and given names:
+        how the program's graph is shared must not renumber the store."""
+        u = Universe()
+        first = flatten_into(parse(
+            "atom a; x = 2; y = {5, 2, a}; z = <3, 5>; w = {{}, 1, 5}; v = 7; q = {x, 0};"), u)
+        assert first == {"x": 3, "y": 7, "z": 10, "w": 11, "v": 13, "q": 14, "a": 0}
+        second = flatten_into(parse("p = <g, 4>; r = {3, h, 9}; s = {g, 2, s}; t = 9; e = {};"),
+                              u, {"g": first["y"], "h": first["a"]})
+        assert second == {"p": 17, "r": 20, "s": 21, "t": 19, "e": 1}
+        third = flatten_into(parse("atom b; m = {b, 6, <1, b>}; n = {m, 6, 3}; o = 6;"),
+                             u, {"c": second["s"]})
+        assert third == {"m": 26, "n": 27, "o": 12, "b": 22}
+        assert len(u) == 28
+        # ill-founded sets are minted in the order of their keys, which a
+        # pair of two equal numeral literals must not shift
+        ids = flatten_into(parse("d = <0, 0>; z = {0}; f = {f}; g = {g, f}; h = {h, g};"),
+                           Universe())
+        assert ids == {"d": 2, "z": 1, "f": 4, "g": 5, "h": 3}
+
 
 class TestFlattenIntoGivenIds:
     """Names bound to sets already in the universe."""
@@ -353,6 +391,16 @@ class TestUnparse:
     def test_numeral_sugar(self):
         g = flatten(parse("n = 2;"))["n"]
         assert unparse(g) == "x0 = 2;\n"
+
+    def test_one_numeral_sugared_per_picture(self):
+        # a program's numerals share one chain, so a second numeral is spelled out
+        for g, text in [
+            (Apg((fs([1, 4]), fs([2, 3]), fs(), fs([2]), fs([5]), fs()), 0),
+             "x0 = {x1, x2};\nx1 = 2;\nx2 = {x5};\nx5 = {};\n"),
+            (Apg((fs([1, 2]), fs(), fs()), 0), "x0 = {x1, x2};\nx1 = 0;\nx2 = {};\n"),
+        ]:
+            assert unparse(g) == text
+            assert pointed_isomorphic(flatten(parse(text))["x0"], g) is not None
 
     def test_large_numeral_sugar_in_time(self):
         # the numerals inside a sugared numeral are not examined again

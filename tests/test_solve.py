@@ -28,13 +28,16 @@ from hypersets.random_graphs import random_apg
 from oracles import (reference_merge_duplicates, reference_solve_names, reference_solve_output,
                      reference_unparse)
 
-def random_program(rng: random.Random, atoms: bool, max_names: int, max_depth: int) -> str:
+def random_program(rng: random.Random, atoms: bool, max_names: int, max_depth: int,
+                   twins: bool = False) -> str:
     """Definitions of n0.. over sets, tuples, numerals, aliases and atoms.
 
     A name may alias an earlier one, be bound to a numeral that other terms
     share, or repeat an earlier right-hand side, and terms repeat their own
     members: repeated structure is what takes SAFA more than one round.
-    Terms name any definition, so the graphs are often cyclic.
+    Terms name any definition, so the graphs are often cyclic.  With
+    ``twins``, half the programs also bind d0 and d1 to one nested set
+    term: merging its copies cascades past the literal duplicates.
     """
     names = [f"n{i}" for i in range(rng.randint(1, max_names))]
     decls = [f"t{i}" for i in range(rng.randint(0, 3))] if atoms else []
@@ -63,6 +66,9 @@ def random_program(rng: random.Random, atoms: bool, max_names: int, max_depth: i
         else:
             rhs.append(term(0))
     lines = [f"{n} = {t};" for n, t in zip(names, rhs)] + [f"atom {a};" for a in decls]
+    if twins and rng.random() < 0.5:
+        twin = "{{" + term(max_depth) + "}, " + term(1) + "}"
+        lines += [f"d0 = {twin};", f"d1 = {twin};"]
     rng.shuffle(lines)
     return "\n".join(lines) + "\n"
 
@@ -161,7 +167,7 @@ def test_merge_matches_fixpoint_loop(monkeypatch):
     stats = compare_merges(monkeypatch)
     rng = random.Random(6)
     for _ in range(3000):
-        hsl.flatten_into(parse(random_program(rng, True, 6, 3)), boffa.Universe())
+        hsl.flatten_into(parse(random_program(rng, True, 6, 3, twins=True)), boffa.Universe())
     assert stats["graphs"] == 3000
     assert stats["cascades"] >= 2000, stats
 
@@ -174,8 +180,8 @@ def test_merge_matches_fixpoint_loop_with_given_ids(monkeypatch):
     bound = 0
     for _ in range(1000):
         u = boffa.Universe()
-        ids = list(hsl.flatten_into(parse(random_program(rng, True, 6, 3)), u).values())
-        lines = random_program(rng, True, 6, 3).splitlines()
+        ids = list(hsl.flatten_into(parse(random_program(rng, True, 6, 3, twins=True)), u).values())
+        lines = random_program(rng, True, 6, 3, twins=True).splitlines()
         free = [line.split()[0] for line in lines if line[0] == "n" and rng.random() < 0.4]
         text = "\n".join(line for line in lines if line.split()[0] not in free)
         given = {name: rng.choice(ids) for name in free}
