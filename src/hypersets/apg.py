@@ -528,33 +528,3 @@ def _pointed_iso(ch1, root1: int, ch2, root2: int) -> Optional[tuple[int, ...]]:
     if root1 == root2 and ch1 == ch2:
         return tuple(range(len(ch1)))
     return next(_search(ch1, root1, ch2, root2)[0], None)
-
-
-def _iso_classes(graphs, found=None) -> list[int]:
-    """One class id per (child sets, root) pair, equal iff the graphs are
-    pointed-isomorphic; ids count from 0 in order of first appearance.
-
-    Each graph is compared with one representative per class, and only
-    with those of its own node and edge count; callers apply the cap.  The
-    graphs are read one at a time, and when graph i maps onto the
-    representative that is graph j by phi, ``found(i, j, phi)`` is called
-    before the next graph is read.
-    """
-    reps: dict[tuple[int, int], list[tuple[tuple, int, int]]] = {}
-    out = []
-    count = 0
-    for i, (ch, root) in enumerate(graphs):
-        bucket = reps.setdefault((len(ch), sum(map(len, ch))), [])
-        for rep, rep_root, j in bucket:
-            phi = _pointed_iso(ch, root, rep, rep_root)
-            if phi is not None:
-                out.append(out[j])
-                if found is not None:
-                    found(i, j, phi)
-                break
-        else:
-            bucket.append((ch, root, i))
-            out.append(count)
-            count += 1
-    return out
-

@@ -38,8 +38,8 @@ from .grouplab import (
 )
 from .hsl import HslProgram, _printer, _pure_graph, flatten_into, parse, unparse
 from .random_graphs import random_apg
-from .wflab import (all_automorphisms, build_universe, check_automorphism_cap, classify_map,
-                    extend_map, stage_sizes)
+from .wflab import (DEFAULT_ELEMENT_CAP, all_automorphisms, build_universe,
+                    check_automorphism_cap, classify_map, extend_map, stage_sizes)
 
 EXIT_OK = 0
 EXIT_SYNTAX = 1
@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--perm", help="atom permutation in cycle notation, e.g. '(0 1)'")
     target.add_argument("--embed-into", type=_int_at_least(0),
                         help="embed into a stage over this many atoms")
-    p.add_argument("--cap", type=_int_at_least(1), default=1 << 16)
+    p.add_argument("--cap", type=_int_at_least(1), default=DEFAULT_ELEMENT_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_wf)
 

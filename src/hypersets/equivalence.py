@@ -12,14 +12,7 @@ all three coincide with the Mostowski collapse.
 
 from __future__ import annotations
 
-from .apg import (
-    Apg,
-    DEFAULT_ISO_CAP,
-    Partition,
-    _iso_classes,
-    _refine,
-    _trim,
-)
+from .apg import DEFAULT_ISO_CAP, Apg, Partition, _pointed_iso, _refine, _trim
 from .errors import SizeLimitExceeded
 
 
@@ -47,29 +40,31 @@ def finsler_partition(g: Apg, cap: int = DEFAULT_ISO_CAP) -> Partition:
 
 def _finsler_classes(children, cap: int) -> list[int]:
     """``finsler_partition`` on bare child sets: one class id per node, the
-    ids dense from 0 in no particular order.
+    ids dense from 0.
 
     Finsler refines counting, so only nodes that share their counting class
-    with another node need their sub-APGs trimmed and compared; when the
+    with another node need their sub-APGs trimmed, each compared with the
+    class's representatives of its own node and edge count; when the
     counting partition is discrete it is the answer.  A pointed isomorphism
-    phi from u's sub-APG onto another node's restricts to one from x's onto
-    phi(x)'s for every x below u, so each map found unites all the pairs it
-    maps (union-find, Tarjan, JACM 1975), and a node already united with a
-    tested one is neither trimmed nor tested.
+    phi from u's sub-APG onto a representative's restricts to one from x's
+    onto phi(x)'s for every x below u, so each map found unites all the
+    pairs it maps (union-find, Tarjan, JACM 1975), and a node already
+    united with a representative is neither trimmed nor tested.  The
+    classes are the union-find's components.
     """
     n = len(children)
     if n > cap:
         raise SizeLimitExceeded(f"finsler partition capped at {cap} nodes")
     class_of = _refine(children, counting=True)
-    next_class = max(class_of) + 1
-    if next_class == n:
+    k = max(class_of) + 1
+    if k == n:
         return class_of
-    members: list[list[int]] = [[] for _ in range(next_class)]
+    members: list[list[int]] = [[] for _ in range(k)]
     for u, c in enumerate(class_of):
         members[c].append(u)
 
     parent = list(range(n))  # union-find; every union is a Finsler equality
-    tested: dict[int, int] = {}  # a component's root -> the index of a node tested in it
+    held: set[int] = set()  # the roots of the components holding a representative
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -80,29 +75,23 @@ def _finsler_classes(children, cap: int) -> list[int]:
     for nodes in members:
         if len(nodes) < 2:
             continue
-        reach: list[list[int]] = []  # each tested node's sub-APG, old ids in trimmed order
-
-        def untested():
-            for u in nodes:
-                r = find(u)
-                if r not in tested:
-                    tested[r] = len(reach)
-                    sub, trans = _trim(raw, (u,))
-                    reach.append(list(trans))
-                    yield sub, 0
-
-        def unite(i: int, j: int, phi) -> None:
-            for x, y in zip(reach[i], phi):
-                x, y = find(x), find(reach[j][y])
-                if y not in tested:  # a tested root stays a root
-                    x, y = y, x
-                parent[x] = y
-
-        ids = _iso_classes(untested(), unite)
-        # The class's first representative keeps its id; the others are new.
-        keep = class_of[nodes[0]]
+        reps: dict[tuple[int, int], list] = {}  # (nodes, edges) -> [(sub-APG, its old ids)]
         for u in nodes:
-            i = ids[tested[find(u)]]
-            class_of[u] = keep if i == 0 else next_class + i - 1
-        next_class += max(ids)
-    return class_of
+            if find(u) in held:
+                continue
+            sub, trans = _trim(raw, (u,))
+            bucket = reps.setdefault((len(sub), sum(map(len, sub))), [])
+            for rep, old in bucket:
+                phi = _pointed_iso(sub, 0, rep, 0)
+                if phi is not None:
+                    for x, y in zip(trans, phi):
+                        x, y = find(x), find(old[y])
+                        if x in held:  # a representative's root stays a root
+                            x, y = y, x
+                        parent[x] = y
+                    break
+            else:
+                bucket.append((sub, list(trans)))
+                held.add(find(u))
+    ids: dict[int, int] = {}
+    return [ids.setdefault(find(u), len(ids)) for u in range(n)]

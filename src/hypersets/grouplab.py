@@ -61,7 +61,9 @@ class GroupTable:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "GroupTable":
-        rows = tuple(tuple(r) if isinstance(r, Sequence) else None for r in rows)
+        rows = tuple(
+            tuple(r) if isinstance(r, Sequence) and not isinstance(r, (str, bytes)) else None
+            for r in rows)
         n = len(rows)
         if any(r is None or len(r) != n for r in rows):
             raise ValueError("table must be n rows of n entries")

@@ -30,7 +30,6 @@ from .errors import (
     UndefinedName,
 )
 
-FILE_EXTENSION = ".hs-set"
 # Numeral k desugars to k(k+1)/2 edges; past this many edges in one
 # program's graph, flattening raises SizeLimitExceeded.
 FLATTEN_EDGE_BUDGET = 1_000_000

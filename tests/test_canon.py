@@ -702,3 +702,12 @@ class TestDot:
         assert "digraph pair" in text
         assert "peripheries=2" in text
         assert "n0 -> n1;" in text
+
+    @pytest.mark.parametrize("name", ["graph", "Node", "EDGE", "digraph", "subGraph", "strict"])
+    def test_keyword_names_are_quoted(self, name):
+        # DOT reserves these words in any case; unquoted, the file does not parse.
+        assert to_dot(DOUBLETON_OF_LOOPS, name=name).startswith(f'digraph "{name}" {{\n')
+
+    @pytest.mark.parametrize("name", ["graphs", "nodes", "x0", "A_G", "Strict_"])
+    def test_other_names_are_bare(self, name):
+        assert to_dot(DOUBLETON_OF_LOOPS, name=name).startswith(f"digraph {name} {{\n")

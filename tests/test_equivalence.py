@@ -11,7 +11,12 @@ from hypersets.apg import (
     quotient,
     trim_to_accessible,
 )
-from hypersets.equivalence import counting_partition, finsler_partition, max_bisimulation
+from hypersets.equivalence import (
+    _finsler_classes,
+    counting_partition,
+    finsler_partition,
+    max_bisimulation,
+)
 from hypersets.errors import SizeLimitExceeded
 from hypersets.random_graphs import random_apg, random_well_founded_apg
 
@@ -176,7 +181,9 @@ class TestFinslerPartition:
 
     def test_matches_naive_oracle(self):
         # The oracle trims every node and compares by brute force; the
-        # library trims only nodes that share their counting class.
+        # library trims only nodes that share their counting class.  The
+        # ids must be dense: the settle loop reads max(ids) + 1 as the
+        # class count.
         rng = random.Random(103)
         discrete = one_class = 0
         for i in range(600):
@@ -191,6 +198,8 @@ class TestFinslerPartition:
             discrete += cnt.is_discrete
             one_class += cnt.class_count == 1 and g.node_count > 1
             assert finsler_partition(g) == naive_finsler_partition(g), g
+            ids = _finsler_classes(g.children, g.node_count)
+            assert set(ids) == set(range(max(ids) + 1)), g
         assert discrete >= 100 and one_class >= 100
 
     def test_matches_naive_oracle_where_one_map_settles_many_pairs(self):
@@ -231,6 +240,8 @@ class TestFinslerPartition:
             p = finsler_partition(g)
             merged += g.node_count - p.class_count
             assert p == naive_finsler_partition(g, same), g
+            ids = _finsler_classes(g.children, g.node_count)
+            assert set(ids) == set(range(p.class_count)), g
         assert finsler_partition(graphs[-1]).class_count == 2  # Paley(13) is vertex-transitive
         assert merged >= 300
 

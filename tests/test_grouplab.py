@@ -56,6 +56,8 @@ class TestGroupTable:
         pytest.param([[0], [1, 0]], "n rows of n", id="ragged"),
         pytest.param([[0, 1], [1, "x"]], "'x' is not an element", id="string-entry"),
         pytest.param([0, 1], "n rows of n", id="rows-not-sequences"),
+        pytest.param([[0, 1], "10"], "n rows of n", id="string-row"),
+        pytest.param([b"\x00\x01", b"\x01\x00"], "n rows of n", id="bytes-rows"),
         pytest.param([[False]], "False is not an element", id="bool-entry"),
         pytest.param([[0, 1], [1, 2]], "2 is not an element", id="out-of-range"),
     ])

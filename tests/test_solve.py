@@ -18,7 +18,7 @@ import tracemalloc
 
 import pytest
 
-from hypersets import apg, boffa, canon, cli, hsl
+from hypersets import apg, boffa, canon, cli, equivalence, hsl
 from hypersets.apg import Apg, Partition
 from hypersets.canon import automorphisms, to_dot
 from hypersets.cli import _solve_names, main
@@ -283,7 +283,7 @@ def count_calls(monkeypatch, owner_names, counts):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        for module in (apg, boffa, canon, cli, hsl):
+        for module in (apg, boffa, canon, cli, equivalence, hsl):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counted)
         if owner is boffa.Universe:
