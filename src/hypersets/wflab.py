@@ -46,11 +46,17 @@ class LevelledUniverse:
     def _atom_set(self) -> frozenset[int]:
         return frozenset(self.atoms)
 
+    @cached_property
+    def _values(self) -> dict[int, object]:
+        return {a: ("atom", a) for a in self.atoms}
+
     def hereditary_value(self, code: int):
-        """Universe-independent structural value; atoms are tagged leaves."""
-        if code in self._atom_set:
-            return ("atom", code)
-        return frozenset(self.hereditary_value(m) for m in self.members[code])
+        """Universe-independent structural value; atoms are tagged leaves.
+        Each code's value is computed on its first read and kept."""
+        values = self._values
+        if code not in values:
+            values[code] = frozenset(map(self.hereditary_value, self.members[code]))
+        return values[code]
 
 
 def stage_sizes(atom_count: int, levels: int, cap: int = DEFAULT_ELEMENT_CAP) -> list[int]:
@@ -185,7 +191,8 @@ def classify_map(u: LevelledUniverse, m: ExtendedMap) -> MapReport:
         if is_pure(x)
     )
     rank_ok = all(u.rank(x) == target.rank(m.full_map[x]) for x in top)
-    same_universe = target is u
+    # build_universe is deterministic: a target with the source's members is its own stage
+    same_universe = target is u or target.members == u.members
     fixed = sum(1 for x in top if m.full_map[x] == x) if same_universe else None
     verdict = "automorphism" if same_universe and surjective else "proper-embedding"
     return MapReport(

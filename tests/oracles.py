@@ -524,18 +524,42 @@ def _table(elements, product) -> list[list[int]]:
     return [[index[product(x, y)] for y in elements] for x in elements]
 
 
-def order_eight_groups() -> dict[str, list[list[int]]]:
-    """Multiplication tables of the five groups of order 8, up to
-    isomorphism, each written out from its own arithmetic."""
-    pairs = [(a, b) for a in range(4) for b in range(2)]
+def small_groups() -> dict[str, list[list[int]]]:
+    """One multiplication table per isomorphism class of groups of order 1
+    to 12, 24 in all, each written out from its own arithmetic: cyclic
+    groups by addition, products by pairs, the dihedral groups as r^i s^j
+    with s r s = r^-1, Q8 from the quaternion units, A4 from the even
+    permutations of four points, and Dic3 as Z3 x| Z4, whose generator
+    inverts Z3."""
+    def cyclic(n):
+        return _table(range(n), lambda x, y: (x + y) % n)
+
+    def product(m, n):
+        pairs = [(a, b) for a in range(m) for b in range(n)]
+        return _table(pairs, lambda x, y: ((x[0] + y[0]) % m, (x[1] + y[1]) % n))
+
+    def semidirect(m, n):  # Z_m x| Z_n, each generator of Z_n inverting Z_m
+        pairs = [(a, b) for a in range(m) for b in range(n)]
+        return _table(pairs, lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % m,
+                                           (x[1] + y[1]) % n))
+
     units = [tuple(s if k == i else 0 for k in range(4)) for i in range(4) for s in (1, -1)]
+    even = [p for p in itertools.permutations(range(4))
+            if sum(p[i] > p[j] for i, j in itertools.combinations(range(4), 2)) % 2 == 0]
     return {
-        "z8": _table(range(8), lambda x, y: (x + y) % 8),
-        "z4xz2": _table(pairs, lambda x, y: ((x[0] + y[0]) % 4, (x[1] + y[1]) % 2)),
-        "z2^3": _table(range(8), lambda x, y: x ^ y),
-        # r^i s^j: s r s = r^-1
-        "d4": _table(pairs, lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4, x[1] ^ y[1])),
-        "q8": _table(units, _quaternion_product),
+        "z1": cyclic(1), "z2": cyclic(2), "z3": cyclic(3),
+        "z4": cyclic(4), "v4": _table(range(4), lambda x, y: x ^ y),
+        "z5": cyclic(5),
+        "z6": cyclic(6), "s3": semidirect(3, 2),
+        "z7": cyclic(7),
+        "z8": cyclic(8), "z4xz2": product(4, 2), "z2^3": _table(range(8), lambda x, y: x ^ y),
+        "d4": semidirect(4, 2), "q8": _table(units, _quaternion_product),
+        "z9": cyclic(9), "z3^2": product(3, 3),
+        "z10": cyclic(10), "d5": semidirect(5, 2),
+        "z11": cyclic(11),
+        "z12": cyclic(12), "z6xz2": product(6, 2), "d6": semidirect(6, 2),
+        "dic3": semidirect(3, 4),
+        "a4": _table(even, lambda p, q: tuple(p[q[i]] for i in range(4))),
     }
 
 

@@ -26,7 +26,7 @@ from hypersets import wflab
 from hypersets.grouplab import PRESET_NAMES
 from hypersets.hsl import flatten, flatten_into, parse
 
-from oracles import generated_group, order_eight_groups
+from oracles import generated_group, small_groups
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 
@@ -526,7 +526,7 @@ class TestGroup:
 
     def test_table_file_order_eight(self, tmp_path):
         path = tmp_path / "q8.json"
-        path.write_text(json.dumps({"order": 8, "table": order_eight_groups()["q8"]}))
+        path.write_text(json.dumps({"order": 8, "table": small_groups()["q8"]}))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         start = time.perf_counter()
         done = subprocess.run(
@@ -829,5 +829,21 @@ class TestDocsCorpus:
         for path in goldens:
             preset = path.stem.removeprefix("group-")
             code, out = run(capsys, "group", "--preset", preset, "--json")
+            assert code == EXIT_OK, path
+            assert out == path.read_text(encoding="utf-8"), f"golden drift for {path.name}"
+
+    WF_GOLDENS = {
+        "wf-atoms3-levels2.txt": ["--atoms", "3", "--levels", "2"],
+        "wf-atoms3-levels2-perm012.txt": ["--atoms", "3", "--levels", "2", "--perm", "(0 1 2)"],
+        "wf-atoms2-levels2-embed3.json":
+            ["--atoms", "2", "--levels", "2", "--embed-into", "3", "--json"],
+        "wf-atoms2-levels1-embed2.txt": ["--atoms", "2", "--levels", "1", "--embed-into", "2"],
+    }
+
+    def test_wf_goldens(self, capsys):
+        goldens = sorted((DOCS / "golden").glob("wf-*"))
+        assert [p.name for p in goldens] == sorted(self.WF_GOLDENS)
+        for path in goldens:
+            code, out = run(capsys, "wf", *self.WF_GOLDENS[path.name])
             assert code == EXIT_OK, path
             assert out == path.read_text(encoding="utf-8"), f"golden drift for {path.name}"

@@ -298,6 +298,12 @@ def test_wf_flags(argv):
     if code == 0 and "--perm" not in argv and "--embed-into" not in argv and "--json" not in argv:
         atoms = int(argv[2])
         assert out.splitlines()[-1] == f"automorphism count {math.factorial(atoms)}"
+    if code == 0 and "--embed-into" in argv:
+        # An injective atom map onto as many atoms is a permutation.
+        verdict = (json.loads(out)["map"]["verdict"] if "--json" in argv
+                   else out.splitlines()[2].removeprefix("verdict "))
+        onto = argv[argv.index("--embed-into") + 1] == argv[2]
+        assert verdict == ("automorphism" if onto else "proper-embedding")
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import collections
+import random
 import time
 
 import pytest
@@ -8,7 +10,6 @@ from hypersets.errors import OrderTooLarge, SizeLimitExceeded
 from hypersets.grouplab import (
     PRESET_NAMES,
     GroupTable,
-    _generating_set,
     aut_group_of,
     build_A_G,
     cyclic_group,
@@ -18,7 +19,7 @@ from hypersets.grouplab import (
     symmetric_group_3,
 )
 from hypersets.hsl import _pair_parts
-from oracles import a_g_picture, assert_irredundant_generators, order_eight_groups
+from oracles import a_g_picture, small_groups
 
 
 def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
@@ -28,6 +29,17 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     return GroupTable.from_rows([
         [g.mul(x // m, y // m) * m + h.mul(x % m, y % m) for y in range(n)] for x in range(n)
     ])
+
+
+def relabel(g: GroupTable, rng: random.Random) -> GroupTable:
+    """g with its elements renamed by a random permutation p: p(x) * p(y)
+    = p(x * y)."""
+    p = rng.sample(range(g.order), g.order)
+    rows = [[0] * g.order for _ in range(g.order)]
+    for x in range(g.order):
+        for y in range(g.order):
+            rows[p[x]][p[y]] = p[g.mul(x, y)]
+    return GroupTable.from_rows(rows)
 
 
 def decode_tuple(u, x: int, arity: int) -> tuple[int, ...]:
@@ -133,11 +145,13 @@ class TestBuildAG:
 
     @pytest.mark.parametrize("name, nodes", [
         ("z1", 11), ("z2", 34), ("z3", 72), ("z4", 124), ("v4", 124), ("s3", 270),
-        *((k, 472) for k in order_eight_groups()),
+        *((k, 472) for k, t in small_groups().items() if len(t) == 8),
     ])
     def test_picture_matches_independent_construction(self, name, nodes):
-        eights = order_eight_groups()
-        group = GroupTable.from_rows(eights[name]) if name in eights else preset_group(name)
+        if name in PRESET_NAMES:
+            group = preset_group(name)
+        else:
+            group = GroupTable.from_rows(small_groups()[name])
         art = build_A_G(group)
         pic = art.universe.picture_of(art.root)
         want = a_g_picture(group.table)
@@ -155,9 +169,10 @@ class TestBuildAG:
         assert capsys.readouterr().err == "size cap: group order 6 exceeds cap 5\n"
 
     def test_all_groups_of_order_eight(self):
-        # Order 8 is the default cap; the search must stay quick there, and
-        # each group must be told apart from the other four.
-        groups = {k: GroupTable.from_rows(t) for k, t in order_eight_groups().items()}
+        # Order 8 is group's default cap: the automorphism search of A_G must
+        # stay quick there, and each group's table must be told apart from
+        # the other four.
+        groups = {k: GroupTable.from_rows(t) for k, t in small_groups().items() if len(t) == 8}
         start = time.perf_counter()
         for name, group in groups.items():
             rep = aut_group_of(build_A_G(group))
@@ -191,27 +206,32 @@ class TestGroupsIsomorphic:
         with pytest.raises(OrderTooLarge) as info:
             groups_isomorphic(cyclic_group(13), cyclic_group(13))
         assert isinstance(info.value, SizeLimitExceeded)
+        with pytest.raises(OrderTooLarge):
+            groups_isomorphic(cyclic_group(2), cyclic_group(13))
 
+    def test_true_exactly_within_one_class(self):
+        # small_groups has 24 tables, as many as there are classes of order
+        # 1 to 12; no two of them are isomorphic, so there is one per class.
+        # Each is also relabelled at random, twice.
+        classes = collections.Counter(len(t) for t in small_groups().values())
+        assert [classes[n] for n in range(1, 13)] == [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5]
+        rng = random.Random(30)
+        tables = []
+        for name, rows in small_groups().items():
+            group = GroupTable.from_rows(rows)
+            tables += [(name, group), *((name, relabel(group, rng)) for _ in range(2))]
+        for name, g in tables:
+            for other, h in tables:
+                assert groups_isomorphic(g, h) == (name == other), (name, other)
 
-class TestGeneratingSet:
-    PRODUCTS = {
-        "z2xz2": ("z2", "z2"), "z2xz3": ("z2", "z3"), "z2xz4": ("z2", "z4"),
-        "z3xz3": ("z3", "z3"), "z2xs3": ("z2", "s3"),
-    }
-
-    @pytest.mark.parametrize("name", [*PRESET_NAMES, *PRODUCTS])
-    def test_irredundant_and_generating(self, name):
-        # Row x of the table is left multiplication by x: the kept rows must
-        # each lie outside the group the earlier ones generate, and together
-        # generate all rows.
-        if name in self.PRODUCTS:
-            group = direct_product(*map(preset_group, self.PRODUCTS[name]))
-        else:
-            group = preset_group(name)
-        gens = _generating_set(group)
-        assert_irredundant_generators([group.table[x] for x in gens], group.table, group.order)
-
-    def test_cyclic_group_keeps_one_generator(self):
-        z4 = cyclic_group(4)
-        (gen,) = _generating_set(z4)
-        assert z4.element_order(gen) == 4
+    def test_element_orders_stop_deciding_at_order_sixteen(self):
+        # Z4 x Z4 and Q8 x Z2 have one element of order 1, three of order 2
+        # and twelve of order 4, but only the first is abelian: past order
+        # 15 equal element orders do not make groups isomorphic.
+        z4xz4 = direct_product(cyclic_group(4), cyclic_group(4))
+        q8xz2 = direct_product(GroupTable.from_rows(small_groups()["q8"]), cyclic_group(2))
+        orders = [sorted(map(t.element_order, range(16))) for t in (z4xz4, q8xz2)]
+        assert orders[0] == orders[1] == [1, 2, 2, 2] + [4] * 12
+        assert [t.table == tuple(zip(*t.table)) for t in (z4xz4, q8xz2)] == [True, False]
+        with pytest.raises(OrderTooLarge):
+            groups_isomorphic(z4xz4, q8xz2)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -56,6 +57,25 @@ class TestBuildUniverse:
         # (-1, 1) gave levels [[], [-1]] and (2, -3) gave stage 0
         with pytest.raises(ValueError, match="must be >= 0"):
             build_universe(atom_count, levels)
+
+
+class TestHereditaryValue:
+    def test_each_members_read_once(self):
+        # Every value is kept after its first read, so reading each top-level
+        # value twice reads each non-atom code's members once.
+        u = build_universe(2, 2)
+        reads = collections.Counter()
+
+        class Members(dict):
+            def __getitem__(self, code):
+                reads[code] += 1
+                return super().__getitem__(code)
+
+        u.members = Members(u.members)
+        values = [u.hereditary_value(c) for c in u.top]
+        assert [u.hereditary_value(c) for c in u.top] == values
+        assert len(set(values)) == len(u.top)
+        assert reads == dict.fromkeys(set(u.top) - set(u.atoms), 1)
 
 
 class TestExtendMap:
@@ -117,6 +137,15 @@ class TestClassifyMap:
         assert rep.membership_exact
         assert rep.pure_sets_fixed
         assert rep.rank_preserved
+
+    def test_equal_target_built_separately_is_the_source(self):
+        # build_universe is deterministic, so an injective map onto a stage
+        # over as many atoms is a permutation of the source's own codes.
+        u = build_universe(2, 2)
+        rep = classify_map(u, extend_map(u, {0: 1, 1: 0}, into=build_universe(2, 2)))
+        assert rep.verdict == "automorphism"
+        assert rep.injective and rep.surjective_onto_top
+        assert rep.fixed_points == 8
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 2)])
     def test_universe_must_be_the_maps_source(self, shape):
