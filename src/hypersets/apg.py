@@ -413,8 +413,9 @@ def _search(ch1, root1: int, ch2, root2: int, orbit=None):
     multisets differ, no map exists and none is produced.  Nodes are mapped
     in the connectivity-first order of ``_search_order``, each to the unused
     nodes of its colour in ascending order, so the results come in a fixed
-    order.  Self-loops are never checked directly: every other edge is, so
-    a degree-preserving map carries loops onto loops.
+    order.  Self-loops are never checked directly: every other edge is
+    checked in both directions when its later endpoint is placed, so a map
+    that keeps out-degrees carries loops onto loops.
 
     A caller may ``send`` a depth d back for a leaf: the search then cuts
     back to depth d, keeping the images of the first d nodes of the order
@@ -423,7 +424,9 @@ def _search(ch1, root1: int, ch2, root2: int, orbit=None):
     order.  An automorphism search may also pass ``orbit``, an orbit id per
     node that the caller updates as leaves come back.  While the first d
     nodes of the order are mapped to themselves, node d then tries itself
-    first and skips the rest of its orbit.
+    first and skips the rest of its orbit.  So the first leaf is the
+    identity, handed back at once, and a depth's remaining images are
+    listed only when the search backs up to it.
     """
     n = len(ch1)
     same = ch2 is ch1 and root2 == root1  # an automorphism search
@@ -461,31 +464,34 @@ def _search(ch1, root1: int, ch2, root2: int, orbit=None):
                     return False
             return True
 
-        # fixed[k], kept with orbit: the first k nodes are mapped to themselves,
-        # so node k -> itself keeps every mapped edge and needs no check.
-        fixed = [False] * n
-
-        def candidates(k: int) -> Iterator[int]:
-            u = order[k]
-            ws = by_color[colors1[u]]
-            if orbit is None:
-                return iter(ws)
-            fixed[k] = not k or fixed[k - 1] and fwd[order[k - 1]] == order[k - 1]
-            if not fixed[k]:
-                return iter(ws)
-            return itertools.chain((u,), (w for w in ws if orbit[w] != orbit[u]))
-
         # Depth-first over an explicit stack of candidate iterators, one per
         # mapped node, so the depth is not bounded by Python's recursion limit.
-        stack = [candidates(0)]
+        # None marks a depth whose node, like every node before it, is mapped
+        # to itself: its other images, the rest of its colour outside its
+        # orbit, are listed when the search backs up to it.
+        depth = None
+        if orbit is None:
+            stack = [iter(by_color[colors1[order[0]]])]
+        else:
+            fwd[:] = rev[:] = range(n)
+            stack = [None] * n
+            depth = yield tuple(fwd)
         while stack:
+            if depth is not None:
+                for v in order[depth + 1:]:
+                    rev[fwd[v]] = -1
+                    fwd[v] = -1
+                del stack[depth + 1:]
+                depth = None
             k = len(stack) - 1
             u = order[k]
             if fwd[u] >= 0:  # undo this depth's previous choice
                 rev[fwd[u]] = -1
                 fwd[u] = -1
-            for w in stack[-1]:
-                if rev[w] < 0 and (w == u and fixed[k] or consistent(u, w)):
+            if stack[k] is None:
+                stack[k] = (w for w in by_color[colors1[u]] if orbit[w] != orbit[u])
+            for w in stack[k]:
+                if rev[w] < 0 and consistent(u, w):
                     fwd[u], rev[w] = w, u
                     break
             else:
@@ -493,13 +499,8 @@ def _search(ch1, root1: int, ch2, root2: int, orbit=None):
                 continue
             if len(stack) == n:
                 depth = yield tuple(fwd)
-                if depth is not None:
-                    for v in order[depth + 1:]:
-                        rev[fwd[v]] = -1
-                        fwd[v] = -1
-                    del stack[depth + 1:]
             else:
-                stack.append(candidates(len(stack)))
+                stack.append(iter(by_color[colors1[order[len(stack)]]]))
 
     return leaves(), order
 

@@ -234,7 +234,8 @@ def cmd_wf(args) -> int:
     if args.embed_into is not None:
         if args.embed_into < args.atoms:
             raise ValueError("--embed-into needs at least as many atoms")
-        target = build_universe(args.embed_into, args.levels, cap=args.cap)
+        if args.embed_into > args.atoms:  # an equal stage is the source's own
+            target = build_universe(args.embed_into, args.levels, cap=args.cap)
     elif sigma is None:
         check_automorphism_cap(top)
     u = build_universe(args.atoms, args.levels, cap=args.cap)
@@ -246,7 +247,7 @@ def cmd_wf(args) -> int:
     rep = None
     if sigma is not None:
         rep = classify_map(u, extend_map(u, sigma))
-    elif target is not None:
+    elif args.embed_into is not None:
         sigma = {i: i for i in range(args.atoms)}
         rep = classify_map(u, extend_map(u, sigma, into=target))
     else:

@@ -47,16 +47,17 @@ def naive_bisimulation(g: Apg) -> Partition:
     return Partition.from_class_of(class_of)
 
 
-def naive_counting_partition(g: Apg) -> Partition:
-    """Signature rounds: split by the sorted tuple of child classes until
-    the class count stops growing.  One round per level of a chain."""
-    classes = [0] * g.node_count
-    ncl = 1 if g.node_count else 0
+def naive_counting_partition(g: Apg, init=None) -> Partition:
+    """Signature rounds from ``init`` (one class when None): split by the
+    class and the sorted tuple of child classes until the class count stops
+    growing.  One round per level of a chain."""
+    classes = [0] * g.node_count if init is None else list(init)
+    ncl = len(set(classes))
     while True:
         table: dict[tuple, int] = {}
         nxt = [
-            table.setdefault(tuple(sorted(classes[v] for v in kids)), len(table))
-            for kids in g.children
+            table.setdefault((classes[u], tuple(sorted(classes[v] for v in kids))), len(table))
+            for u, kids in enumerate(g.children)
         ]
         if len(table) == ncl:
             return Partition.from_class_of(nxt)

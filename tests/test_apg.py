@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypersets.apg import (
     Apg,
     Partition,
+    _refine,
     is_well_founded,
     pointed_isomorphic,
     quotient,
@@ -127,6 +128,25 @@ class TestPointedIsomorphic:
         g = Apg((fs([0]),), 0)
         with pytest.raises(SizeLimitExceeded):
             pointed_isomorphic(g, g, cap=0)
+
+    @pytest.mark.parametrize("ch1, ch2, parents_split", [
+        # One leaf is shared by 1 and 2, or reached from 2 and the root:
+        # child counts colour both graphs alike, parent counts do not.
+        ((fs([1, 2, 4]), fs([3]), fs([3]), fs(), fs()), (fs([1, 2, 4]), fs([3]), fs([4]), fs(), fs()), True),
+        # Two self-loops against a 2-cycle: only the edge checks tell them apart.
+        ((fs([1, 2]), fs([1]), fs([2])), (fs([1, 2]), fs([2]), fs([1])), False),
+    ], ids=["shared-leaf", "loops-against-cycle"])
+    def test_told_apart_by_parent_counts_or_edge_checks(self, ch1, ch2, parents_split):
+        # Colours over the union with the roots seeded, as the search makes them.
+        n = len(ch1)
+        union = [*ch1, *(fs(v + n for v in kids) for kids in ch2)]
+        init = [int(u in (0, n)) for u in range(2 * n)]
+        for parents_too, split in [(False, False), (True, parents_split)]:
+            colors = _refine(union, init, counting=True, parents_too=parents_too)
+            assert (sorted(colors[:n]) != sorted(colors[n:])) == split
+        for g1, g2 in [(Apg(ch1, 0), Apg(ch2, 0)), (Apg(ch2, 0), Apg(ch1, 0))]:
+            assert pointed_isomorphic(g1, g2) is None
+            assert not brute_force_pointed_iso(g1, g2)
 
     def test_matches_brute_force(self):
         rng = random.Random(123)

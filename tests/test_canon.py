@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from hypersets import canon
+from hypersets import apg, canon
 from hypersets.apg import Apg, DEFAULT_ISO_CAP, _refine, pointed_isomorphic, quotient, trim_to_accessible
 from hypersets.canon import (
     Semantics,
@@ -647,6 +647,30 @@ class TestAutomorphisms:
             assert order == math.factorial(8)
         assert len(depths) - 1 <= math.log2(order), depths
         assert depths == sorted(depths, reverse=True), depths
+
+    def test_path_over_quine_atoms_is_coloured_into_mirror_pairs(self, monkeypatch):
+        # s = {{t0, t1}, {t1, t2}, ..., {t10, t11}} over 12 Quine atoms.  Child
+        # counts alone leave the 11 edges in one colour and the 12 atoms in
+        # another, and the search then tries the edges' arrangements before
+        # any atom rules one out, about 11! of them.  Parent counts split
+        # both down to mirror pairs.  Counted, not timed: the class sizes
+        # every search is given.
+        sizes = []
+        search_order = apg._search_order
+
+        def recorded(children, parents, size):
+            sizes.append(max(size))
+            assert sizes[-1] == 2, size  # before the walk, which would not end
+            return search_order(children, parents, size)
+
+        monkeypatch.setattr(apg, "_search_order", recorded)
+        u = Universe()
+        atoms = [u.add_quine_atom() for _ in range(12)]
+        g = u.picture_of(u.add_set([u.add_set(atoms[i:i + 2]) for i in range(11)]))
+        assert automorphisms(g).order == 2
+        assert not is_rigid(g)
+        assert pointed_isomorphic(g, relabelled(random.Random(79), g)) is not None
+        assert sizes == [2, 2, 2]
 
     def test_is_rigid_consistent_with_order(self):
         rng = random.Random(63)

@@ -492,6 +492,15 @@ class TestWf:
         assert capsys.readouterr().err == "error: bad cycle notation '(0 1'\n"
         assert built == []
 
+    def test_embed_into_equal_stage_builds_it_once(self, monkeypatch, capsys):
+        # an equal target is the source's own stage, so one stage is built
+        built = []
+        real = cli.build_universe
+        monkeypatch.setattr(cli, "build_universe", lambda *a, **kw: built.append(a) or real(*a, **kw))
+        code, out = run(capsys, "wf", "--atoms", "2", "--levels", "1", "--embed-into", "2")
+        assert (code, built) == (EXIT_OK, [(2, 1)])
+        assert out == (DOCS / "golden" / "wf-atoms2-levels1-embed2.txt").read_text(encoding="utf-8")
+
     def test_perm_and_embed_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["wf", "--atoms", "2", "--levels", "1", "--perm", "(0 1)", "--embed-into", "3"])
@@ -822,6 +831,19 @@ class TestDocsCorpus:
             assert code == EXIT_OK, path
             want = (DOCS / "golden" / f"{stem}.{mode}.txt").read_text(encoding="utf-8")
             assert out == want, f"golden drift for {path.name}"
+
+    def test_aut_goldens(self, capsys):
+        # aut on each example's first name in its own mode.  Where the group
+        # is not trivial (quine-many, atom-graph) the golden pins the
+        # generators, and so the order in which the search finds its leaves.
+        examples = sorted((DOCS / "examples").glob("*.hs-set"))
+        goldens = sorted((DOCS / "golden").glob("aut-*.txt"))
+        assert [p.name for p in goldens] == [f"aut-{p.name.removesuffix('.hs-set')}.txt" for p in examples]
+        for path, golden in zip(examples, goldens):
+            first = parse(path.read_text(encoding="utf-8")).defined_names[0]
+            code, out = run(capsys, "aut", str(path), first, "--mode", path.name.split(".")[1])
+            assert code == EXIT_OK, path
+            assert out == golden.read_text(encoding="utf-8"), f"golden drift for {golden.name}"
 
     def test_group_goldens(self, capsys):
         goldens = sorted((DOCS / "golden").glob("group-*.json"))

@@ -142,8 +142,9 @@ def refinement_shapes(rng: random.Random, count: int):
 
 class TestRefinementEngine:
     def test_matches_signature_oracles(self):
-        # Every rule the package calls: AFA, counting, and counting with
-        # parents from a root-marked and from an all-zero colouring.
+        # AFA, counting from no colouring, and counting without parents and
+        # with them (the search's rule), each from a root-marked and from an
+        # all-zero colouring.
         for g in refinement_shapes(random.Random(2026), 3000):
             ch, n = g.children, g.node_count
             assert Partition.from_class_of(_refine(ch)) == naive_bisimulation(g)
@@ -151,6 +152,9 @@ class TestRefinementEngine:
             root_marked = [0] * n
             root_marked[g.root] = 1
             for init in (root_marked, [0] * n):
+                assert Partition.from_class_of(
+                    _refine(ch, init, counting=True)
+                ) == naive_counting_partition(g, init)
                 assert Partition.from_class_of(
                     _refine(ch, init, counting=True, parents_too=True)
                 ) == Partition.from_class_of(naive_stable_colors(ch, init))
