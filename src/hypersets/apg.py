@@ -253,7 +253,7 @@ def _parent_sets(children) -> list[set[int]]:
     return pred
 
 
-def _refine(children, init=None, counting=False, parents_too=False) -> list[int]:
+def _refine(children, init=None, counting=False, parents_too=False, apart=None) -> list[int]:
     """The package's one partition-refinement engine: the coarsest
     refinement of ``init`` (one class when None) in which the nodes of a
     block agree, for every block B, on whether they have a child in B (AFA
@@ -274,6 +274,11 @@ def _refine(children, init=None, counting=False, parents_too=False) -> list[int]
     lowers the old block's size, and the old list drops its moved nodes
     (those whose block id changed) when the block next serves as a
     splitter.  So no split builds or shrinks a set.
+
+    Given ``apart``, two nodes, it returns as soon as they lie in different
+    blocks, after the first keys or after a splitter's splits: refinement
+    only splits blocks, so they stay apart in the coarsest partition, but
+    the other blocks are then not yet stable.
     """
     n = len(children)
     weight = list(map(len, children))
@@ -288,7 +293,7 @@ def _refine(children, init=None, counting=False, parents_too=False) -> list[int]
         table.setdefault(k, len(table))
         for k in (keys if init is None else zip(init, keys))
     ]
-    if len(table) < 2 or len(table) == n:
+    if len(table) < 2 or len(table) == n or apart and block_of[apart[0]] != block_of[apart[1]]:
         return block_of
     parents: list[list[int]] = [[] for _ in children]
     blocks: list[list[int]] = [[] for _ in table]
@@ -360,7 +365,7 @@ def _refine(children, init=None, counting=False, parents_too=False) -> list[int]
             xmembers[h].append(nb)
             if len(xmembers[h]) == 2:
                 worklist.append(h)
-        if len(blocks) == n:
+        if len(blocks) == n or apart and block_of[apart[0]] != block_of[apart[1]]:
             break
     return block_of
 

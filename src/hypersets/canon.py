@@ -55,17 +55,20 @@ class CanonResult:
     decoration: tuple[int, ...]
 
 
-def _blocks(children, s: Semantics, cap: int) -> list[int]:
+def _blocks(children, s: Semantics, cap: int, apart=None) -> list[int]:
     """The mode's node equivalence on bare child sets, as dense block ids."""
     if s is _FAFA:
         return _finsler_classes(children, cap)
-    return _refine(children, counting=s is _SAFA)
+    return _refine(children, counting=s is _SAFA, apart=apart)
 
 
 def _settle(children, root: int, s: Semantics, cap: int, roots=()):
     """Quotient the graph with these child sets by its mode's partition
     until nothing more can merge, or until ``roots`` all share one block,
-    which no later round can split; on bare child sets throughout.
+    which no later round can split; on bare child sets throughout.  Under
+    AFA with two roots the refinement also stops once they part: AFA runs
+    one round, so they stay apart.  SAFA and FAFA may not stop there, as a
+    later round can merge what an earlier one split.
 
     Returns the last graph's child sets and root, the decoration of the
     input's nodes onto it, and its block ids and block count; the blocks
@@ -79,8 +82,9 @@ def _settle(children, root: int, s: Semantics, cap: int, roots=()):
     two loops only in the second round.
     """
     decoration = range(len(children))
+    apart = roots if s is _AFA and len(roots) == 2 else None
     while True:
-        block_of = _blocks(children, s, cap)
+        block_of = _blocks(children, s, cap, apart)
         count = max(block_of) + 1
         if (
             s is _AFA
@@ -101,10 +105,17 @@ def canonicalize(g: Apg, s: Semantics, cap: int = DEFAULT_ISO_CAP) -> CanonResul
     """Quotient g by its mode's partition until no merging remains.
 
     The settled graph is quotiented once more by its last partition, which
-    also re-indexes it into its deterministic breadth-first form; only this
-    final graph is built as an ``Apg``.
+    re-indexes it into its deterministic breadth-first form, unless it is a
+    quotient already (SAFA and FAFA after a merge) and its partition is
+    discrete.  That quotient would be the identity: each node ranks as
+    itself, and in a quotient the children a node's walk first meets have
+    larger ids than those met before, in the order met, so the walk over
+    sorted ids meets the nodes in id order.  Only the final graph is built
+    as an ``Apg``.
     """
     children, root, decoration, block_of, count = _settle(g.children, g.root, s, cap)
+    if children is not g.children and count == len(children):
+        return CanonResult(Apg(children, 0), tuple(decoration))
     children, proj = _quotient(children, root, block_of, count)
     return CanonResult(Apg(children, 0), tuple([proj[c] for c in decoration]))
 

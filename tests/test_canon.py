@@ -25,7 +25,7 @@ from hypersets.errors import SizeLimitExceeded
 from hypersets.grouplab import PRESET_NAMES, build_A_G, preset_group
 from hypersets.hsl import flatten_into, parse
 from hypersets.wflab import all_automorphisms, build_universe
-from hypersets.random_graphs import random_apg, random_performance_graph
+from hypersets.random_graphs import random_apg, random_performance_graph, random_well_founded_apg
 
 from oracles import (
     afa_equal_via_union,
@@ -34,6 +34,7 @@ from oracles import (
     brute_force_automorphisms,
     equal_by_canonical_forms,
     exhaustive_automorphisms,
+    naive_bisimulation,
     reference_canonicalize,
     reference_equality_classes,
     reference_is_canonical_picture,
@@ -92,6 +93,20 @@ class TestCanonicalize:
                 again = canonicalize(c, s).canonical
                 assert pointed_isomorphic(c, again) is not None
 
+    def test_canonical_form_is_an_exact_fixpoint(self):
+        # The numbering that lets canonicalize skip its last quotient: a
+        # canonical form canonicalizes to the same child sets under root 0,
+        # with the identity decoration.
+        rng = random.Random(80)
+        for i in range(3000):
+            g = (random_apg if i % 2 else random_well_founded_apg)(rng, 12)
+            for s in ALL_MODES:
+                c = canonicalize(g, s).canonical
+                again = canonicalize(c, s)
+                assert again.canonical.children == c.children, (s, g)
+                assert again.canonical.root == 0
+                assert again.decoration == tuple(range(c.node_count))
+
     def test_decoration_equation_exact(self):
         rng = random.Random(56)
         for _ in range(500):
@@ -149,6 +164,46 @@ class TestEqual:
             g1 = random_apg(rng, 10)
             g2 = random_apg(rng, 10)
             assert equal(g1, g2, Semantics.AFA) == afa_equal_via_union(g1, g2)
+
+    def test_afa_roots_that_part_early_against_naive_bisimulation(self):
+        # Two AFA roots stop the refinement once they part: at the first
+        # keys when exactly one root is childless, later otherwise, and
+        # never for a relabelled copy.
+        rng = random.Random(81)
+        kinds = {"first keys": 0, "later": 0, "never": 0}
+        for i in range(3000):
+            g = relabelled(rng, random_apg(rng, 8))
+            h = relabelled(rng, g) if i % 3 == 0 else relabelled(rng, random_apg(rng, 8))
+            children, (a, b) = disjoint_union([g, h])
+            joined = Apg((*children, fs([a, b])), len(children))
+            want = naive_bisimulation(joined).same_class(a, b)
+            assert equal(g, h, Semantics.AFA) == want, (g, h)
+            assert equality_classes([g, h], Semantics.AFA) == [0, 0 if want else 1]
+            if want:
+                kinds["never"] += 1
+            else:
+                kinds["first keys" if bool(children[a]) != bool(children[b]) else "later"] += 1
+        assert min(kinds.values()) >= 500, kinds
+
+    def test_afa_equal_stops_refining_once_the_roots_part(self):
+        class Counted(frozenset):
+            """A child set that counts the times it is iterated."""
+
+            reads = 0
+
+            def __iter__(self):
+                Counted.reads += 1
+                return super().__iter__()
+
+        n = 100_000
+        chain = Apg(tuple(Counted([u + 1]) if u + 1 < n else Counted() for u in range(n)), 0)
+        empty = Apg((fs(),), 0)
+        Counted.reads = 0
+        assert not equal(chain, empty, Semantics.AFA)
+        assert Counted.reads == 0  # the first keys part the roots
+        # Three roots never stop early, and the refinement reads every set.
+        assert equality_classes([chain, empty, empty], Semantics.AFA) == [0, 1, 1]
+        assert Counted.reads >= n
 
 
 def relabelled(rng: random.Random, g: Apg) -> Apg:

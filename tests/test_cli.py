@@ -197,6 +197,22 @@ class TestSolvePairs:
                     want = equal(graphs[pair["a"]], graphs[pair["b"]], Semantics(mode))
                     assert pair["equal"] == want, (text, mode, pair)
 
+    def test_afa_eq_exit_codes_match_solve_pairs(self, capsys, program):
+        # eq's two roots stop the AFA refinement once they part; solve with
+        # pictures refines to the end.
+        rng = random.Random(72)
+        verdicts = {EXIT_OK: 0, EXIT_UNEQUAL: 0}
+        for _ in range(30):
+            path = program(random_program(rng, rng.randint(2, 7)))
+            code, out = run(capsys, "solve", path, "--mode", "afa", "--json")
+            assert code == EXIT_OK
+            for pair in json.loads(out)["pairs"]:
+                code, out = run(capsys, "eq", path, pair["a"], pair["b"], "--mode", "afa")
+                want = (EXIT_OK, "equal") if pair["equal"] else (EXIT_UNEQUAL, "unequal")
+                assert (code, out.strip()) == want, (path, pair)
+                verdicts[code] += 1
+        assert min(verdicts.values()) >= 20, verdicts
+
 
 class TestEq:
     def test_equal_exit_zero(self, capsys, program):

@@ -312,6 +312,22 @@ def test_pure_solve_settles_once(monkeypatch, ring_path, mode):
     assert sink.tail.endswith(f"equal r{RING - 2} r{RING - 1}\n")
 
 
+@pytest.mark.parametrize("mode", ["safa", "fafa"])
+def test_canonicalize_does_not_renumber_a_settled_quotient(monkeypatch, mode):
+    """r -> {x, y}, x -> {a, b}, y -> {c}: round one merges the leaves,
+    round two merges x and y, and round three finds the quotient discrete.
+    Each intermediate round quotients once, and the settled quotient, which
+    is already numbered, is not quotiented again."""
+    fs = frozenset
+    g = Apg((fs([1, 2]), fs([3, 4]), fs([5]), fs(), fs(), fs()), 0)
+    counts: dict[str, int] = {}
+    count_calls(monkeypatch, [(canon, "_blocks"), (apg, "_quotient")], counts)
+    r = canon.canonicalize(g, canon.Semantics(mode))
+    assert r.canonical.children == (fs([1]), fs([2]), fs())
+    assert r.decoration == (0, 1, 1, 2, 2, 2)
+    assert counts == {"_blocks": 3, "_quotient": 2}
+
+
 def paley_program(q: int) -> str:
     """r over the q vertex sets of the Paley graph on Z_q, q a prime that
     is 1 mod 4, each vertex the set of its neighbours."""

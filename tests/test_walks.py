@@ -92,3 +92,30 @@ def test_long_chain():
     with pytest.raises(NotWellFounded):
         rank_map(h)
     assert time.perf_counter() - start < 2.0
+
+
+class CountedReads(tuple):
+    """A tuple of child sets that counts its reads by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountedReads.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_long_chain_reads_each_child_set_a_bounded_number_of_times():
+    # test_long_chain's linearity, gated by a count instead of the clock:
+    # the walks read the 100,000 child sets 8n times in all.
+    n = 100_000
+    chain = CountedReads(fs((u + 1,)) if u + 1 < n else fs() for u in range(n))
+    looped = CountedReads((*chain[:-1], fs((0,))))
+    CountedReads.reads = 0
+    g = Apg(chain, 0)
+    assert is_well_founded(g)
+    assert rank_map(g)[0] == n - 1
+    h = Apg(looped, 0)
+    assert not is_well_founded(h)
+    with pytest.raises(NotWellFounded):
+        rank_map(h)
+    assert CountedReads.reads <= 10 * n
